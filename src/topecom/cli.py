@@ -11,26 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .committees import (
-    CommitteeCandidate,
-    committee_sum,
-    critical_from_cycle,
-    enumerate_critical,
-    is_critical,
-)
-from .cycles import (
-    CycleEnumeration,
-    SymmetricCycle,
-    enumerate_cycles,
-    find_symmetric_cycle,
-)
+from .committees import CommitteeCandidate, committee_sum, enumerate_critical
+from .cycles import SymmetricCycle, enumerate_cycles, find_symmetric_cycle
 from .decomposition import decompose
 from .errors import TopecomError
 from .posets import BasedPoset
 from .realization import chambers, read_arrangement_file
-from .signs import Tope, positive_tope
+from .signs import Tope
 from .topesets import (
     TopeSet,
     adjacency_edges,
@@ -40,8 +28,6 @@ from .topesets import (
 )
 
 __all__ = ["main"]
-
-UNBOUNDED = 1 << 30
 
 
 def _load_tope_set(args) -> TopeSet:
@@ -161,27 +147,10 @@ def _cmd_poset(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _enumerate_parallel(carrier: TopeSet, budget: int) -> CycleEnumeration:
-    """All-cycles enumeration with one task per root; order matches serial."""
-    def per_root(root: Tope) -> list[SymmetricCycle]:
-        enum = enumerate_cycles(carrier, root, UNBOUNDED)
-        return [c for c in enum.cycles if min(c.vertex_set) == root]
-
-    with ThreadPoolExecutor() as pool:
-        chunks = list(pool.map(per_root, carrier.topes))
-    merged: list[SymmetricCycle] = [c for chunk in chunks for c in chunk]
-    if len(merged) > budget:
-        return CycleEnumeration(tuple(merged[:budget]), True)
-    return CycleEnumeration(tuple(merged), False)
-
-
 def _cmd_cycles(args) -> str:
     ts = _load_tope_set(args)
     base = _parse_tope(args.base, "--base") if args.base else None
-    if args.parallel and base is None:
-        enum = _enumerate_parallel(ts, args.budget)
-    else:
-        enum = enumerate_cycles(ts, base, args.budget)
+    enum = enumerate_cycles(ts, base, args.budget)
     if args.format == "json":
         return _json(
             {
@@ -237,37 +206,19 @@ def _committee_json(candidate: CommitteeCandidate) -> dict:
 
 def _cmd_committee(args) -> str:
     ts = _load_tope_set(args)
-    if args.parallel:
-        root = None if args.all_bases else positive_tope(ts.t)
-        enum = enumerate_cycles(ts, root, args.budget)
-        with ThreadPoolExecutor() as pool:
-            candidates = list(
-                pool.map(lambda c: critical_from_cycle(ts, c), enum.cycles)
-            )
-        unique: dict[frozenset[Tope], CommitteeCandidate] = {}
-        for cand in candidates:
-            if cand.members not in unique and is_critical(cand):
-                unique[cand.members] = cand
-        committees = sorted(
-            unique.values(), key=lambda c: (len(c), c.sorted_members())
-        )
-        truncated = enum.truncated
-    else:
-        result = enumerate_critical(ts, args.budget, all_bases=args.all_bases)
-        committees = list(result.committees)
-        truncated = result.truncated
+    result = enumerate_critical(ts, args.budget, all_bases=args.all_bases)
     if args.format == "json":
         return _json(
             {
-                "committees": [_committee_json(c) for c in committees],
-                "truncated": truncated,
+                "committees": [_committee_json(c) for c in result.committees],
+                "truncated": result.truncated,
             }
         )
     lines = [
         f"committee {k}: " + " ".join(_tope_strings(c.members))
-        for k, c in enumerate(committees, 1)
+        for k, c in enumerate(result.committees, 1)
     ]
-    lines.append(f"truncated: {'true' if truncated else 'false'}")
+    lines.append(f"truncated: {'true' if result.truncated else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -304,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cycles", _cmd_cycles, ("text", "json"), "enumerate symmetric cycles")
     p.add_argument("--base", help="only cycles through this tope")
     p.add_argument("--budget", type=int, default=200, help="max cycles to list")
-    p.add_argument("--parallel", action="store_true", help="enumerate roots concurrently")
 
     p = add("decompose", _cmd_decompose, ("text", "json"), "decompose a tope over a cycle")
     p.add_argument("--tope", required=True, help="target tope string")
@@ -314,17 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("committee", _cmd_committee, ("text", "json"), "critical committees from cycles")
     p.add_argument(
-        "--critical",
-        action="store_true",
-        help="accepted for explicitness; committees here are always critical",
-    )
-    p.add_argument(
         "--all-bases",
         action="store_true",
         help="walk every cycle, not only those through the all-ones tope",
     )
     p.add_argument("--budget", type=int, default=200, help="max cycles to walk")
-    p.add_argument("--parallel", action="store_true", help="map cycles concurrently")
 
     return parser
 
@@ -358,14 +302,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_tope_flags(argv))
     try:
         text = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (TopecomError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

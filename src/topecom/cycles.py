@@ -161,15 +161,18 @@ def _halves_to_cycle(carrier: TopeSet, half: tuple[Tope, ...]) -> SymmetricCycle
 
 
 def _cycles_through(carrier: TopeSet, base: Tope) -> Iterator[SymmetricCycle]:
-    """Distinct cycles through ``base``, each in its lex-least orientation."""
-    seen: set[frozenset[Tope]] = set()
+    """Distinct cycles through ``base``, each in its lex-least orientation.
+
+    A symmetric cycle has no chords (Hamming distance equals distance along
+    the cycle), so each one comes out of ``_paths_through`` exactly twice,
+    once per direction; the reverse walk flips l_t .. l_1. Keeping the walk
+    whose first flip is the smaller keeps the one found first.
+    """
     for half in _paths_through(carrier, base):
-        cyc = _halves_to_cycle(carrier, half)
-        key = cyc.vertex_set
-        if key in seen:
-            continue
-        seen.add(key)
-        yield cyc
+        (first,) = separation_set(half[0], half[1])
+        (last,) = separation_set(half[-2], half[-1])
+        if first <= last:  # equal only when t = 1: one walk, one direction
+            yield _halves_to_cycle(carrier, half)
 
 
 def _all_cycles(carrier: TopeSet) -> Iterator[SymmetricCycle]:

@@ -150,7 +150,7 @@ class CycleDecomposer:
     that each decomposition costs O(t).
     """
 
-    def __init__(self, cycle: SymmetricCycle, check: bool = True):
+    def __init__(self, cycle: SymmetricCycle):
         self.cycle = cycle
         self.t = cycle.t
         l_seq = cycle.l_sequence
@@ -158,9 +158,8 @@ class CycleDecomposer:
         # Element positions (0-based) in walk order, and the base sign there.
         self._lidx = tuple(e - 1 for e in l_seq)
         self._bsign = tuple(base[i] for i in self._lidx)
-        if check:
-            cycle_determinant(cycle)
-            doubled_inverse(cycle, verify=True)
+        cycle_determinant(cycle)
+        doubled_inverse(cycle, verify=True)
 
     def coordinates(self, vector: Tope) -> tuple[int, ...]:
         """x = vector * M^{-1}; entries always land in {-1, 0, 1}.

@@ -11,7 +11,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .signs import Tope, positive_part, separation_set
+from .signs import Tope, negative_part, separation_set
 from .topesets import TopeSet
 
 __all__ = ["BasedPoset", "max_positive"]
@@ -55,24 +55,13 @@ class BasedPoset:
         With no argument the answer is just {base}; the interesting calls
         restrict to a subset such as the vertex set of a cycle.
         """
-        pool = list(self.carrier.topes if among is None else among)
-        seps = [self._sep_of(tp) for tp in pool]
-        out = []
-        for i, tp in enumerate(pool):
-            if any(j != i and seps[j] < seps[i] for j in range(len(pool))):
-                continue
-            out.append(tp)
-        return frozenset(out)
+        pool = self.carrier.topes if among is None else among
+        return _inclusion_minimal(pool, self._sep_of)
 
     def maximal_elements(self, among: Iterable[Tope] | None = None) -> frozenset[Tope]:
-        pool = list(self.carrier.topes if among is None else among)
-        seps = [self._sep_of(tp) for tp in pool]
-        out = []
-        for i, tp in enumerate(pool):
-            if any(j != i and seps[i] < seps[j] for j in range(len(pool))):
-                continue
-            out.append(tp)
-        return frozenset(out)
+        # sep(B, -T) is the complement of sep(B, T), so maxima become minima.
+        pool = self.carrier.topes if among is None else among
+        return _inclusion_minimal(pool, lambda tp: self._sep_of(-tp))
 
     def hasse_edges(self, among: Iterable[Tope] | None = None) -> list[tuple[Tope, Tope]]:
         """Cover pairs (lower, upper) of the induced subposet, sorted.
@@ -96,17 +85,17 @@ class BasedPoset:
         return sorted(edges)
 
 
+def _inclusion_minimal(pool: Iterable[Tope], key) -> frozenset[Tope]:
+    """Members of ``pool`` whose ``key`` set has no proper subset among the keys."""
+    keyed = [(tp, key(tp)) for tp in pool]
+    return frozenset(tp for tp, k in keyed if not any(other < k for _, other in keyed))
+
+
 def max_positive(topes: Iterable[Tope]) -> frozenset[Tope]:
     """Members whose positive part is inclusion-maximal in the collection.
 
     Equals the minimal elements of the poset based at the all-ones tope,
-    restricted to the collection, but needs no carrier to evaluate.
+    restricted to the collection, but needs no carrier to evaluate: the
+    negative part is the separation set from the all-ones tope.
     """
-    pool = list(topes)
-    pos = [positive_part(tp) for tp in pool]
-    out = []
-    for i, tp in enumerate(pool):
-        if any(j != i and pos[i] < pos[j] for j in range(len(pool))):
-            continue
-        out.append(tp)
-    return frozenset(out)
+    return _inclusion_minimal(topes, negative_part)

@@ -206,11 +206,6 @@ class TestCycles:
         data = json.loads(out)
         assert all(c["base"] == "-++++" for c in data["cycles"])
 
-    def test_parallel_matches_serial(self, capsys, demo_arr_path):
-        code, serial, _ = run(capsys, "cycles", "--arr", demo_arr_path)
-        code, parallel, _ = run(capsys, "cycles", "--arr", demo_arr_path, "--parallel")
-        assert serial == parallel
-
 
 class TestDecompose:
     def test_demo_target(self, capsys, demo_arr_path):
@@ -272,18 +267,6 @@ class TestCommittee:
         assert lines[0].startswith("committee 1: ")
         assert lines[-1] == "truncated: false"
 
-    def test_parallel_matches_serial(self, capsys, demo_arr_path):
-        _, serial, _ = run(capsys, "committee", "--arr", demo_arr_path, "--all-bases")
-        _, parallel, _ = run(
-            capsys, "committee", "--arr", demo_arr_path, "--all-bases", "--parallel"
-        )
-        assert serial == parallel
-
-    def test_critical_flag_is_accepted(self, capsys, demo_arr_path):
-        _, plain, _ = run(capsys, "committee", "--arr", demo_arr_path)
-        _, flagged, _ = run(capsys, "committee", "--arr", demo_arr_path, "--critical")
-        assert plain == flagged
-
 
 class TestPlumbing:
     def test_merge_tope_flags(self):
@@ -304,6 +287,23 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert dest.read_text().startswith("graph topes {")
+
+    def test_out_to_directory_exits_one(self, capsys, demo_arr_path, tmp_path):
+        code, out, err = run(
+            capsys, "chambers", "--arr", demo_arr_path, "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [("cycles", "--parallel"), ("committee", "--parallel"), ("committee", "--critical")],
+    )
+    def test_removed_flags_exit_two(self, demo_arr_path, verb, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--arr", demo_arr_path, flag])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from topecom import (
     reorient_cycle,
     reorient_set,
 )
+from topecom.cycles import _paths_through
 
 
 def tope(s: str) -> Tope:
@@ -185,6 +186,33 @@ class TestEnumeration:
         listed = {cyc.vertex_set for cyc in enumerate_cycles(demo.carrier).cycles}
         for cyc in demo.cycles:
             assert cyc.vertex_set in listed
+
+
+class TestWalkOnce:
+    """Each cycle through a root is built from one of its two walks only."""
+
+    @staticmethod
+    def _deduplicated_walks(ts, root):
+        # The slow rule: build every walk, keep the first of each vertex set.
+        seen, out = set(), []
+        for half in _paths_through(ts, root):
+            first = half[:-1]
+            verts = first + tuple(-v for v in first)
+            if frozenset(verts) not in seen:
+                seen.add(frozenset(verts))
+                out.append(verts)
+        return out
+
+    def test_matches_deduplicated_walks(self, zoo):
+        for inst in zoo:
+            ts = inst.tope_set
+            for root in ts.topes:
+                enum = enumerate_cycles(ts, root, budget=1 << 20)
+                assert not enum.truncated
+                got = [cyc.vertices for cyc in enum.cycles]
+                assert got == self._deduplicated_walks(ts, root), (inst.name, root)
+                for cyc in enum.cycles:
+                    assert cyc.l_sequence[0] < cyc.l_sequence[-1]
 
 
 class TestFindCycle:
