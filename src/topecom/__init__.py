@@ -5,184 +5,29 @@ no floating point anywhere. Start with :func:`build_tope_set` or
 :func:`chambers`, then explore cycles and decompositions on top.
 """
 
-from . import errors
-from .errors import (
-    AntiparallelElements,
-    BadDimension,
-    DeterminantMismatch,
-    Disconnected,
-    DuplicateVertex,
-    NoCycleFound,
-    NonAdjacentStep,
-    NonTopeInput,
-    NotAcyclic,
-    NotAntipodal,
-    NotInTopeSet,
-    NotOnCycle,
-    OracleAmbiguous,
-    OracleNotFound,
-    ParallelElements,
-    ReconstructionFailed,
-    ScalarMultiple,
-    SizeBoundExceeded,
-    SymmetryViolation,
-    TooSmall,
-    TopecomError,
-    VerificationFailed,
-    ZeroNormal,
-)
-from .committees import (
-    CommitteeCandidate,
-    CommitteeEnumeration,
-    committee_sum,
-    critical_from_cycle,
-    enumerate_critical,
-    is_committee,
-    is_critical,
-    is_minimal,
-    two_path_witness,
-)
-from .cycles import (
-    CycleEnumeration,
-    SymmetricCycle,
-    build_symmetric_cycle,
-    enumerate_cycles,
-    find_symmetric_cycle,
-    reorient_cycle,
-)
-from .decomposition import (
-    BruteForceOracle,
-    CycleDecomposer,
-    Decomposition,
-    bareiss_determinant,
-    brute_force_decompose,
-    coordinates,
-    cycle_determinant,
-    decompose,
-    decompose_via_poset,
-    decompose_via_reorientation,
-    doubled_inverse,
-    sign_matrix,
-)
-from .fixtures import DemoData, demo_arrangement, demo_data, demo_tope_set
-from .posets import BasedPoset, max_positive
-from .realization import (
-    Arrangement,
-    chambers,
-    feasible,
-    format_arrangement_text,
-    parse_arrangement_text,
-    read_arrangement_file,
-    validate_arrangement,
-    write_arrangement_file,
-)
-from .signs import (
-    Tope,
-    distance,
-    negative_part,
-    positive_part,
-    positive_tope,
-    reorient,
-    separation_set,
-    tope_sum,
-)
-from .topesets import (
-    TopeSet,
-    adjacency_edges,
-    build_tope_set,
-    format_topes_text,
-    halfspace,
-    is_acyclic,
-    parse_topes_text,
-    read_topes_file,
-    reorient_set,
-    write_topes_file,
-)
+# Each star import also binds the submodule name (``errors``, ``signs``, ...)
+# here, so ``__all__`` below is assembled from the modules' own lists.
+from .errors import *
+from .signs import *
+from .topesets import *
+from .posets import *
+from .cycles import *
+from .decomposition import *
+from .committees import *
+from .realization import *
+from .fixtures import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "TopecomError",
-    "SymmetryViolation",
-    "ParallelElements",
-    "AntiparallelElements",
-    "Disconnected",
-    "TooSmall",
-    "NotInTopeSet",
-    "NonAdjacentStep",
-    "NotAntipodal",
-    "DuplicateVertex",
-    "NoCycleFound",
-    "DeterminantMismatch",
-    "VerificationFailed",
-    "NonTopeInput",
-    "OracleAmbiguous",
-    "OracleNotFound",
-    "NotAcyclic",
-    "NotOnCycle",
-    "SizeBoundExceeded",
-    "ZeroNormal",
-    "ScalarMultiple",
-    "BadDimension",
-    "ReconstructionFailed",
-    "Tope",
-    "positive_tope",
-    "reorient",
-    "negative_part",
-    "positive_part",
-    "separation_set",
-    "distance",
-    "tope_sum",
-    "TopeSet",
-    "build_tope_set",
-    "adjacency_edges",
-    "halfspace",
-    "is_acyclic",
-    "reorient_set",
-    "parse_topes_text",
-    "format_topes_text",
-    "read_topes_file",
-    "write_topes_file",
-    "BasedPoset",
-    "max_positive",
-    "SymmetricCycle",
-    "CycleEnumeration",
-    "build_symmetric_cycle",
-    "find_symmetric_cycle",
-    "enumerate_cycles",
-    "reorient_cycle",
-    "Decomposition",
-    "CycleDecomposer",
-    "BruteForceOracle",
-    "bareiss_determinant",
-    "sign_matrix",
-    "cycle_determinant",
-    "doubled_inverse",
-    "coordinates",
-    "decompose",
-    "decompose_via_poset",
-    "decompose_via_reorientation",
-    "brute_force_decompose",
-    "CommitteeCandidate",
-    "CommitteeEnumeration",
-    "committee_sum",
-    "is_committee",
-    "is_minimal",
-    "is_critical",
-    "critical_from_cycle",
-    "two_path_witness",
-    "enumerate_critical",
-    "Arrangement",
-    "validate_arrangement",
-    "feasible",
-    "chambers",
-    "parse_arrangement_text",
-    "format_arrangement_text",
-    "read_arrangement_file",
-    "write_arrangement_file",
-    "DemoData",
-    "demo_arrangement",
-    "demo_tope_set",
-    "demo_data",
+    *errors.__all__,
+    *signs.__all__,
+    *topesets.__all__,
+    *posets.__all__,
+    *cycles.__all__,
+    *decomposition.__all__,
+    *committees.__all__,
+    *realization.__all__,
+    *fixtures.__all__,
 ]

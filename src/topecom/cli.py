@@ -17,7 +17,7 @@ from .cycles import SymmetricCycle, enumerate_cycles, find_symmetric_cycle
 from .decomposition import decompose
 from .errors import TopecomError
 from .posets import BasedPoset
-from .realization import chambers, read_arrangement_file
+from .realization import Arrangement, chambers, read_arrangement_file
 from .signs import Tope
 from .topesets import (
     TopeSet,
@@ -30,14 +30,20 @@ from .topesets import (
 __all__ = ["main"]
 
 
-def _load_tope_set(args) -> TopeSet:
+def _read_input(args) -> TopeSet | Arrangement:
+    """The one input file: a parsed ``.topes`` set or ``.arr`` arrangement."""
     if args.topes and args.arr:
         raise ValueError("pass either --topes or --arr, not both")
     if args.topes:
         return read_topes_file(args.topes)
     if args.arr:
-        return chambers(read_arrangement_file(args.arr))
+        return read_arrangement_file(args.arr)
     raise ValueError("an input file is required: --topes or --arr")
+
+
+def _load_tope_set(args) -> TopeSet:
+    data = _read_input(args)
+    return chambers(data) if isinstance(data, Arrangement) else data
 
 
 def _parse_tope(text: str, what: str) -> Tope:
@@ -58,35 +64,30 @@ def _tope_strings(topes) -> list[str]:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_validate(args) -> str:
-    if args.topes and args.arr:
-        raise ValueError("pass either --topes or --arr, not both")
-    if args.arr:
-        arr = read_arrangement_file(args.arr)
+    data = _read_input(args)
+    if isinstance(data, Arrangement):
         if args.format == "json":
             return _json(
-                {"kind": "arrangement", "valid": True, "d": arr.d, "t": arr.t}
+                {"kind": "arrangement", "valid": True, "d": data.d, "t": data.t}
             )
-        return f"valid arrangement: d={arr.d}, t={arr.t}\n"
-    if args.topes:
-        ts = read_topes_file(args.topes)
-        acyclic = is_acyclic(ts)
-        if args.format == "json":
-            return _json(
-                {
-                    "kind": "topes",
-                    "valid": True,
-                    "t": ts.t,
-                    "count": len(ts),
-                    "acyclic": acyclic,
-                }
-            )
-        word = "acyclic" if acyclic else "not acyclic"
-        return f"valid tope set: t={ts.t}, {len(ts)} topes, {word}\n"
-    raise ValueError("an input file is required: --topes or --arr")
+        return f"valid arrangement: d={data.d}, t={data.t}\n"
+    acyclic = is_acyclic(data)
+    if args.format == "json":
+        return _json(
+            {
+                "kind": "topes",
+                "valid": True,
+                "t": data.t,
+                "count": len(data),
+                "acyclic": acyclic,
+            }
+        )
+    word = "acyclic" if acyclic else "not acyclic"
+    return f"valid tope set: t={data.t}, {len(data)} topes, {word}\n"
 
 
 def _cmd_chambers(args) -> str:
-    ts = chambers(read_arrangement_file(args.arr))
+    ts = _load_tope_set(args)
     if args.format == "json":
         return _json({"t": ts.t, "topes": _tope_strings(ts.topes)})
     return format_topes_text(ts)

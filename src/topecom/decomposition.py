@@ -90,14 +90,14 @@ def cycle_determinant(cycle: SymmetricCycle) -> int:
     return det
 
 
-def doubled_inverse(cycle: SymmetricCycle, verify: bool = True) -> tuple[tuple[int, ...], ...]:
+def doubled_inverse(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
     """D = 2 M^{-1} as an exact integer matrix, built in closed form.
 
     Walking the cycle, step k flips element l_k, so R^k - R^{k-1} is
     -2 B_{l_k} times a standard basis vector; solving for that basis vector
     writes row l_k of M^{-1} with two entries +-1/2. Row l_t uses the closing
-    step onto -R^0 instead. With ``verify`` the product D M is checked to be
-    twice the identity.
+    step onto -R^0 instead. The product D M is then checked to be twice the
+    identity.
     """
     t = cycle.t
     l_seq = cycle.l_sequence
@@ -112,16 +112,20 @@ def doubled_inverse(cycle: SymmetricCycle, verify: bool = True) -> tuple[tuple[i
         else:
             rows[e - 1][0] = s
             rows[e - 1][t - 1] = s
-    if verify:
-        m = sign_matrix(cycle)
-        for i in range(t):
-            for j in range(t):
-                acc = sum(rows[i][k] * m[k][j] for k in range(t))
-                if acc != (2 if i == j else 0):
-                    raise VerificationFailed(
-                        f"(D M)[{i + 1}][{j + 1}] = {acc}, want {2 if i == j else 0}"
-                    )
+    m = sign_matrix(cycle)
+    for i in range(t):
+        for j in range(t):
+            acc = sum(rows[i][k] * m[k][j] for k in range(t))
+            if acc != (2 if i == j else 0):
+                raise VerificationFailed(
+                    f"(D M)[{i + 1}][{j + 1}] = {acc}, want {2 if i == j else 0}"
+                )
     return tuple(tuple(row) for row in rows)
+
+
+def _check_length(vector: Tope, t: int) -> None:
+    if len(vector) != t:
+        raise ValueError(f"vector has {len(vector)} signs, cycle has t = {t}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ class CycleDecomposer:
         self._lidx = tuple(e - 1 for e in l_seq)
         self._bsign = tuple(base[i] for i in self._lidx)
         cycle_determinant(cycle)
-        doubled_inverse(cycle, verify=True)
+        doubled_inverse(cycle)
 
     def coordinates(self, vector: Tope) -> tuple[int, ...]:
         """x = vector * M^{-1}; entries always land in {-1, 0, 1}.
@@ -168,8 +172,7 @@ class CycleDecomposer:
         x_1 = (u_1 + u_t)/2 and x_k = (u_k - u_{k-1})/2: differences of
         +-1 values, halved exactly.
         """
-        if len(vector) != self.t:
-            raise ValueError(f"vector has {len(vector)} signs, cycle has t = {self.t}")
+        _check_length(vector, self.t)
         v = vector.entries
         u = [v[i] * s for i, s in zip(self._lidx, self._bsign)]
         x = [(u[0] + u[-1]) // 2]
@@ -229,8 +232,7 @@ def decompose_via_reorientation(cycle: SymmetricCycle, vector: Tope) -> frozense
     vector, whose minimal separation sets are exactly the maximal positive
     parts. No poset and no carrier membership are needed.
     """
-    if len(vector) != cycle.t:
-        raise ValueError(f"vector has {len(vector)} signs, cycle has t = {cycle.t}")
+    _check_length(vector, cycle.t)
     neg = negative_part(vector)
     flipped = [reorient(v, neg) for v in cycle.vertices]
     chosen = max_positive(flipped)
@@ -276,10 +278,7 @@ class BruteForceOracle:
 
     def decompose(self, target: Tope) -> frozenset[Tope]:
         """The unique inclusion-minimal vertex subset summing to ``target``."""
-        if len(target) != self.cycle.t:
-            raise ValueError(
-                f"vector has {len(target)} signs, cycle has t = {self.cycle.t}"
-            )
+        _check_length(target, self.cycle.t)
         masks = self._solution_masks(target)
         if not masks:
             raise OracleNotFound(f"no vertex subset sums to {target}")

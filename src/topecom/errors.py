@@ -7,6 +7,32 @@ for programmatic inspection.
 
 from __future__ import annotations
 
+__all__ = [
+    "TopecomError",
+    "SymmetryViolation",
+    "ParallelElements",
+    "AntiparallelElements",
+    "Disconnected",
+    "TooSmall",
+    "NotInTopeSet",
+    "NonAdjacentStep",
+    "NotAntipodal",
+    "DuplicateVertex",
+    "NoCycleFound",
+    "DeterminantMismatch",
+    "VerificationFailed",
+    "NonTopeInput",
+    "OracleAmbiguous",
+    "OracleNotFound",
+    "NotAcyclic",
+    "NotOnCycle",
+    "SizeBoundExceeded",
+    "ZeroNormal",
+    "ScalarMultiple",
+    "BadDimension",
+    "ReconstructionFailed",
+]
+
 
 class TopecomError(Exception):
     """Base class for all domain errors."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .signs import Tope, negative_part, separation_set
 from .topesets import TopeSet
@@ -27,17 +26,8 @@ class BasedPoset:
     def __post_init__(self):
         self.carrier.require(self.base, "poset base")
 
-    @cached_property
-    def _sep(self) -> dict[Tope, frozenset[int]]:
-        # Filled lazily; most callers touch a small slice of the carrier.
-        return {}
-
     def _sep_of(self, tope: Tope) -> frozenset[int]:
-        cached = self._sep.get(tope)
-        if cached is None:
-            cached = separation_set(self.base, tope)
-            self._sep[tope] = cached
-        return cached
+        return separation_set(self.base, tope)
 
     def leq(self, t1: Tope, t2: Tope) -> bool:
         return self._sep_of(t1) <= self._sep_of(t2)

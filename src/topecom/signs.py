@@ -125,9 +125,7 @@ def distance(t1: Tope, t2: Tope) -> int:
 
     Equals one quarter of the squared Euclidean norm of t2 - t1, exactly.
     """
-    if len(t1) != len(t2):
-        raise ValueError(f"length mismatch: {len(t1)} vs {len(t2)}")
-    return sum(1 for a, b in zip(t1.entries, t2.entries) if a != b)
+    return len(separation_set(t1, t2))
 
 
 def tope_sum(topes: Sequence[Tope], t: int | None = None) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from .errors import (
     TooSmall,
     VerificationFailed,
 )
-from .signs import Tope, positive_tope, reorient
+from .signs import Tope, distance, positive_tope, reorient
 
 __all__ = [
     "TopeSet",
@@ -163,7 +163,7 @@ def _check_partial_cube(ts: TopeSet) -> None:
                     dist[nbr] = dist[cur] + 1
                     queue.append(nbr)
         for dst in ts.topes:
-            hamming = sum(a != b for a, b in zip(src.entries, dst.entries))
+            hamming = distance(src, dst)
             if dist.get(dst) != hamming:
                 raise VerificationFailed(
                     f"graph distance {dist.get(dst)} != sign distance "
@@ -202,9 +202,6 @@ def reorient_set(topeset: TopeSet, elements: Iterable[int]) -> TopeSet:
     so validation is a safety net rather than a filter.
     """
     elems = frozenset(elements)
-    for e in elems:
-        if not 1 <= e <= topeset.t:
-            raise ValueError(f"element {e} outside 1..{topeset.t}")
     return build_tope_set(reorient(tp, elems) for tp in topeset.topes)
 
 

@@ -8,12 +8,15 @@ seeds, so every run sees identical data.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import topecom
 from topecom import Arrangement, TopeSet, chambers, validate_arrangement
 from topecom.decomposition import bareiss_determinant
 from topecom.errors import TopecomError
@@ -62,6 +65,14 @@ def random_simple_d4_arrangement(t: int, seed: int) -> Arrangement:
             return validate_arrangement(4, normals)
         except TopecomError:
             continue
+
+
+@pytest.fixture(scope="session")
+def python_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this topecom."""
+    src = str(Path(topecom.__file__).resolve().parents[1])
+    extra = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + extra if extra else "")}
 
 
 @pytest.fixture(scope="session")

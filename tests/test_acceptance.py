@@ -105,7 +105,7 @@ def test_criterion_3_linear_algebra_invariants(zoo):
             for cyc in enumerate_cycles(ts, budget=CYCLE_BUDGET).cycles:
                 t = cyc.t
                 assert abs(cycle_determinant(cyc)) == 1 << (t - 1)
-                d = doubled_inverse(cyc, verify=False)
+                d = doubled_inverse(cyc)
                 m = sign_matrix(cyc)
                 for i in range(t):
                     for j in range(t):

@@ -1,6 +1,8 @@
 """Command line entry points: outputs, formats, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 from importlib.resources import files
 
 import pytest
@@ -89,6 +91,22 @@ class TestChambers:
         assert code == 0
         with open(demo_topes_path, encoding="utf-8") as fh:
             assert out == fh.read()
+
+    def test_topes_input_prints_canonical_listing(
+        self, capsys, demo_topes_path
+    ):
+        code, out, _ = run(capsys, "chambers", "--topes", demo_topes_path)
+        assert code == 0
+        with open(demo_topes_path, encoding="utf-8") as fh:
+            assert out == fh.read()
+
+    def test_both_inputs_exit_one(self, capsys, demo_arr_path, demo_topes_path):
+        code, out, err = run(
+            capsys, "chambers", "--arr", demo_arr_path, "--topes", demo_topes_path
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: pass either --topes or --arr, not both\n"
 
     def test_json_count(self, capsys, demo_arr_path):
         code, out, _ = run(capsys, "chambers", "--arr", demo_arr_path, "--format", "json")
@@ -304,6 +322,30 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([verb, "--arr", demo_arr_path, flag])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["chambers"],
+            ["graph"],
+            ["poset"],
+            ["cycles"],
+            ["decompose", "--tope", "+++++"],
+            ["committee"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_input_file_exits_one(self, python_env, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "topecom", *argv],
+            capture_output=True,
+            text=True,
+            env=python_env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: an input file is required")
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

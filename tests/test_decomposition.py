@@ -121,7 +121,7 @@ class TestDoubledInverse:
         for inst in zoo:
             for cyc in enumerate_cycles(inst.tope_set, budget=10).cycles:
                 t = cyc.t
-                d = doubled_inverse(cyc, verify=False)
+                d = doubled_inverse(cyc)
                 m = sign_matrix(cyc)
                 for i in range(t):
                     for j in range(t):
@@ -194,9 +194,14 @@ class TestDecompose:
             assert dec.members == brute_force_decompose(cyc, target)
             assert dec.members == decompose_via_reorientation(cyc, target)
 
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            decompose(hexagon_cycle(), tope("++++"))
+    @pytest.mark.parametrize(
+        "route",
+        [coordinates, decompose, decompose_via_reorientation, brute_force_decompose],
+        ids=lambda route: route.__name__,
+    )
+    def test_wrong_length(self, route):
+        with pytest.raises(ValueError, match="vector has 4 signs, cycle has t = 3"):
+            route(hexagon_cycle(), tope("++++"))
 
     def test_decomposer_reuse_matches_module_functions(self, demo):
         cyc = demo.cycles[1]
