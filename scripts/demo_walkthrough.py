@@ -66,7 +66,7 @@ def main() -> int:
 
     elements = set(demo.reorient_elements)
     flipped = reorient_set(ts, elements)
-    fcyc = reorient_cycle(demo.cycles[0], elements, flipped)
+    fcyc = reorient_cycle(demo.cycles[0], elements)
     committee = critical_from_cycle(flipped, fcyc)
     print(f"after reorienting on {sorted(elements)}:")
     print(f"  committee: {show(committee.members)}")

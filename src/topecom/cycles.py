@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 from .errors import (
@@ -129,38 +129,39 @@ def build_symmetric_cycle(carrier: TopeSet, vertices) -> SymmetricCycle:
     return SymmetricCycle(verts, carrier)
 
 
-def _paths_through(carrier: TopeSet, base: Tope) -> Iterator[tuple[Tope, ...]]:
+def _paths_through(
+    carrier: TopeSet, base: Tope, least: bool = False
+) -> Iterator[tuple[Tope, ...]]:
     """Paths base -> -base flipping each element exactly once.
 
     Yields the first t+1 vertices in lexicographic order of the element
-    sequence (flips tried in ascending element order at every step).
+    sequence. The walk keeps its own stack, so depth t costs no recursion;
+    flips are pushed in descending order so the smallest pops first. With
+    ``least`` it walks only the cycles whose smallest vertex is ``base``:
+    it never steps onto a v with v < base or -v < base, and yields nothing
+    when -base < base.
     """
+    if least and -base < base:
+        return
     t = carrier.t
     nbrs = carrier.flip_neighbors
-    path = [base]
-
-    def walk(current: Tope, used: frozenset[int]) -> Iterator[tuple[Tope, ...]]:
+    stack: list[tuple[tuple[Tope, ...], frozenset[int]]] = [((base,), frozenset())]
+    while stack:
+        path, used = stack.pop()
         if len(used) == t:
-            yield tuple(path)
-            return
-        for e in sorted(nbrs[current]):
-            if e in used:
+            yield path
+            continue
+        steps = nbrs[path[-1]]
+        for e in sorted(steps, reverse=True):
+            nxt = steps[e]
+            if e in used or (least and (nxt < base or -nxt < base)):
                 continue
-            nxt = nbrs[current][e]
-            path.append(nxt)
-            yield from walk(nxt, used | {e})
-            path.pop()
-
-    yield from walk(base, frozenset())
+            stack.append((path + (nxt,), used | {e}))
 
 
-def _halves_to_cycle(carrier: TopeSet, half: tuple[Tope, ...]) -> SymmetricCycle:
-    # half holds vertices 0..t; vertex t is already -vertex 0.
-    first = half[:-1]
-    return SymmetricCycle(first + tuple(-v for v in first), carrier)
-
-
-def _cycles_through(carrier: TopeSet, base: Tope) -> Iterator[SymmetricCycle]:
+def _cycles_through(
+    carrier: TopeSet, base: Tope, least: bool = False
+) -> Iterator[SymmetricCycle]:
     """Distinct cycles through ``base``, each in its lex-least orientation.
 
     A symmetric cycle has no chords (Hamming distance equals distance along
@@ -168,23 +169,13 @@ def _cycles_through(carrier: TopeSet, base: Tope) -> Iterator[SymmetricCycle]:
     once per direction; the reverse walk flips l_t .. l_1. Keeping the walk
     whose first flip is the smaller keeps the one found first.
     """
-    for half in _paths_through(carrier, base):
+    for half in _paths_through(carrier, base, least):
         (first,) = separation_set(half[0], half[1])
         (last,) = separation_set(half[-2], half[-1])
         if first <= last:  # equal only when t = 1: one walk, one direction
-            yield _halves_to_cycle(carrier, half)
-
-
-def _all_cycles(carrier: TopeSet) -> Iterator[SymmetricCycle]:
-    """Every symmetric cycle once, rooted at its smallest vertex.
-
-    Roots are visited in sorted order, so the overall order is deterministic:
-    by minimum vertex, then by l-sequence.
-    """
-    for base in carrier.topes:
-        for cyc in _cycles_through(carrier, base):
-            if min(cyc.vertex_set) == base:
-                yield cyc
+            # half holds vertices 0..t; vertex t is already -vertex 0.
+            verts = half[:-1]
+            yield SymmetricCycle(verts + tuple(-v for v in verts), carrier)
 
 
 def enumerate_cycles(
@@ -202,7 +193,10 @@ def enumerate_cycles(
         carrier.require(base, "cycle root")
         source = _cycles_through(carrier, base)
     else:
-        source = _all_cycles(carrier)
+        # Roots in sorted order: by smallest vertex, then by l-sequence.
+        source = chain.from_iterable(
+            _cycles_through(carrier, root, least=True) for root in carrier.topes
+        )
     found = list(islice(source, budget + 1))
     if len(found) > budget:
         return CycleEnumeration(tuple(found[:budget]), True)
@@ -217,16 +211,12 @@ def find_symmetric_cycle(carrier: TopeSet, base: Tope) -> SymmetricCycle:
     raise NoCycleFound(f"no symmetric cycle passes through {base}")
 
 
-def reorient_cycle(
-    cycle: SymmetricCycle, elements, carrier: TopeSet | None = None
-) -> SymmetricCycle:
+def reorient_cycle(cycle: SymmetricCycle, elements) -> SymmetricCycle:
     """The image of a cycle under reorientation on ``elements``.
 
-    Pass the already-reoriented carrier to skip rebuilding it; the vertices
-    are mapped either way and revalidated cheaply via construction.
+    Each vertex is negated on ``elements``, and the carrier is rebuilt and
+    revalidated with :func:`reorient_set`.
     """
     elems = frozenset(elements)
-    if carrier is None:
-        carrier = reorient_set(cycle.carrier, elems)
     verts = tuple(reorient(v, elems) for v in cycle.vertices)
-    return SymmetricCycle(verts, carrier)
+    return SymmetricCycle(verts, reorient_set(cycle.carrier, elems))

@@ -156,12 +156,13 @@ class NotOnCycle(TopecomError):
 
 
 class SizeBoundExceeded(TopecomError):
-    """Exhaustive minimality check refused: too many members."""
+    """An exhaustive routine refused an input past its size bound."""
 
-    def __init__(self, size: int, bound: int):
+    def __init__(self, size: int, bound: int, message: str = ""):
         self.size = size
         self.bound = bound
-        super().__init__(f"{size} members exceed the exhaustive-check bound {bound}")
+        default = f"{size} members exceed the exhaustive-check bound {bound}"
+        super().__init__(message or default)
 
 
 # -- realization ------------------------------------------------------------

@@ -164,7 +164,8 @@ def chambers(arrangement: Arrangement, bound: int = ENUMERATION_BOUND) -> TopeSe
     """
     t = arrangement.t
     if t > bound:
-        raise SizeBoundExceeded(t, bound)
+        msg = f"t = {t} elements exceed the chamber-enumeration bound {bound}"
+        raise SizeBoundExceeded(t, bound, msg)
     found: list[Tope] = []
     for bits in range(1 << (t - 1)):
         entries = [1] + [1 if bits >> k & 1 else -1 for k in range(t - 1)]

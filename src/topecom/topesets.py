@@ -227,6 +227,8 @@ def parse_topes_text(text: str) -> TopeSet:
                 t = int(parts[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad element count {parts[1]!r}") from None
+            if t < 2:
+                raise ValueError(f"line {lineno}: need t >= 2 elements, header says {t}")
             continue
         try:
             tope = Tope.from_string(line)
@@ -240,7 +242,9 @@ def parse_topes_text(text: str) -> TopeSet:
         topes.append(tope)
     if t is None:
         raise ValueError("missing header line 't <int>'")
-    return build_tope_set(topes)
+    if not topes:
+        raise ValueError(f"header says t = {t}, but no topes follow")
+    return build_tope_set(topes, t)
 
 
 def format_topes_text(topeset: TopeSet) -> str:

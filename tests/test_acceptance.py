@@ -55,7 +55,7 @@ def test_criterion_1_demo_replay(demo):
             assert tope_sum(mins) == demo.base.entries
 
         flipped = reorient_set(demo.carrier, demo.reorient_elements)
-        fcyc = reorient_cycle(demo.cycles[0], demo.reorient_elements, flipped)
+        fcyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
         fmins = BasedPoset(flipped, positive_tope(5)).minimal_elements(fcyc.vertex_set)
         assert fmins == demo.reoriented_committee
         assert tope_sum(fmins) == (1, 1, 1, 1, 1)
@@ -141,7 +141,7 @@ def test_criterion_4_committee_guarantees(zoo, demo):
         assert ones_seen > 0
 
         flipped = reorient_set(demo.carrier, demo.reorient_elements)
-        fcyc = reorient_cycle(demo.cycles[0], demo.reorient_elements, flipped)
+        fcyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
         assert critical_from_cycle(flipped, fcyc).members == demo.reoriented_committee
 
     _verdict("criterion 4, cycle committees are critical everywhere", body)

@@ -7,7 +7,13 @@ from importlib.resources import files
 
 import pytest
 
-from topecom import Tope, build_tope_set, write_topes_file
+from topecom import (
+    Tope,
+    build_tope_set,
+    validate_arrangement,
+    write_arrangement_file,
+    write_topes_file,
+)
 from topecom.cli import _merge_tope_flags, main
 
 
@@ -79,6 +85,28 @@ class TestValidate:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t 0\n+\n", "line 1: need t >= 2 elements, header says 0"),
+            ("t -3\n---\n", "line 1: need t >= 2 elements, header says -3"),
+            ("t 3\n", "header says t = 3, but no topes follow"),
+        ],
+        ids=["zero", "negative", "no-topes"],
+    )
+    def test_bad_header_exits_one(self, python_env, tmp_path, text, message):
+        bad = tmp_path / "bad.topes"
+        bad.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "topecom", "validate", "--topes", str(bad)],
+            capture_output=True,
+            text=True,
+            env=python_env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "--topes", "/nonexistent.topes")
         assert code == 1
@@ -107,6 +135,16 @@ class TestChambers:
         assert code == 1
         assert out == ""
         assert err == "error: pass either --topes or --arr, not both\n"
+
+    def test_size_bound_names_t(self, capsys, tmp_path):
+        arr = tmp_path / "big.arr"
+        write_arrangement_file(
+            arr, validate_arrangement(3, [(1, k, k * k) for k in range(13)])
+        )
+        code, out, err = run(capsys, "chambers", "--arr", str(arr))
+        assert code == 1
+        assert out == ""
+        assert err == "error: t = 13 elements exceed the chamber-enumeration bound 12\n"
 
     def test_json_count(self, capsys, demo_arr_path):
         code, out, _ = run(capsys, "chambers", "--arr", demo_arr_path, "--format", "json")

@@ -107,11 +107,18 @@ class TestVerification:
             is_minimal(big)
         assert is_minimal(big, bound=17) in (True, False)
 
+    def test_size_bound_names_the_members(self, demo):
+        big = CommitteeCandidate(frozenset(demo.carrier.topes[:17]), demo.carrier)
+        with pytest.raises(SizeBoundExceeded) as exc:
+            is_minimal(big)
+        assert (exc.value.size, exc.value.bound) == (17, 16)
+        assert str(exc.value) == "17 members exceed the exhaustive-check bound 16"
+
     def test_odd_size_of_critical_committees(self, demo):
         for cyc in demo.cycles:
             flipped_carrier = reorient_set(demo.carrier, demo.reorient_elements)
             cand = critical_from_cycle(
-                flipped_carrier, reorient_cycle(cyc, demo.reorient_elements, flipped_carrier)
+                flipped_carrier, reorient_cycle(cyc, demo.reorient_elements)
             )
             assert len(cand) % 2 == 1
 
@@ -125,7 +132,7 @@ class TestCriticalFromCycle:
 
     def test_demo_reoriented_committee(self, demo):
         flipped = reorient_set(demo.carrier, demo.reorient_elements)
-        cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements, flipped)
+        cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
         cand = critical_from_cycle(flipped, cyc)
         assert cand.members == demo.reoriented_committee
         assert is_critical(cand)
@@ -150,7 +157,7 @@ class TestCriticalFromCycle:
 class TestTwoPathWitness:
     def test_on_reoriented_demo_cycle(self, demo):
         flipped = reorient_set(demo.carrier, demo.reorient_elements)
-        cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements, flipped)
+        cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
         members = critical_from_cycle(flipped, cyc).members
         for v in cyc.vertices:
             assert two_path_witness(flipped, cyc, v) == (v in members)
@@ -221,7 +228,7 @@ class TestReorientationCovariance:
         # reorienting on {1} turns the committee story back into the
         # minimal-elements story at the original base
         flipped = reorient_set(demo.carrier, demo.reorient_elements)
-        cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements, flipped)
+        cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
         members = critical_from_cycle(flipped, cyc).members
         e = next(iter(demo.reorient_elements))
         back = frozenset(T.flip(e) for T in members)

@@ -1,5 +1,8 @@
 """Symmetric cycles: validation, rotation, enumeration, reorientation."""
 
+import subprocess
+import sys
+
 import pytest
 
 from topecom import (
@@ -17,7 +20,6 @@ from topecom import (
     find_symmetric_cycle,
     positive_tope,
     reorient_cycle,
-    reorient_set,
 )
 from topecom.cycles import _paths_through
 
@@ -214,6 +216,46 @@ class TestWalkOnce:
                 for cyc in enum.cycles:
                     assert cyc.l_sequence[0] < cyc.l_sequence[-1]
 
+    def test_all_cycles_are_the_least_rooted_ones(self, zoo):
+        # The slow rule: walk every root, keep the cycles whose least vertex
+        # is the root, in root order.
+        for inst in zoo:
+            ts = inst.tope_set
+            want = tuple(
+                cyc
+                for root in ts.topes
+                for cyc in enumerate_cycles(ts, root, budget=1 << 20).cycles
+                if min(cyc.vertex_set) == root
+            )
+            enum = enumerate_cycles(ts, budget=1 << 20)
+            assert not enum.truncated
+            assert enum.cycles == want, inst.name
+
+
+class TestLongWalk:
+    # A rank-2 set is a single symmetric cycle, so the walk goes t deep.
+    SCRIPT = """
+import sys
+from topecom import Tope, build_tope_set, enumerate_cycles, find_symmetric_cycle
+
+t = 150
+half = [Tope(tuple([-1] * k + [1] * (t - k))) for k in range(t)]
+ts = build_tope_set(half + [-v for v in half])
+sys.setrecursionlimit(100)
+enum = enumerate_cycles(ts)
+print(len(enum), enum.truncated, find_symmetric_cycle(ts, ts.topes[0]).t)
+"""
+
+    def test_walk_depth_is_not_bounded_by_recursion(self, python_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env=python_env,
+        )
+        assert proc.stderr == ""
+        assert proc.stdout == "1 False 150\n"
+
 
 class TestFindCycle:
     def test_returns_first_rooted_cycle(self, demo):
@@ -246,13 +288,6 @@ class TestReorientCycle:
         cyc = hexagon_cycle()
         back = reorient_cycle(reorient_cycle(cyc, {1, 3}), {1, 3})
         assert back.vertices == cyc.vertices
-
-    def test_carrier_shortcut_matches(self):
-        cyc = hexagon_cycle()
-        pre = reorient_set(hexagon(), {2})
-        assert reorient_cycle(cyc, {2}, carrier=pre).vertices == reorient_cycle(
-            cyc, {2}
-        ).vertices
 
     def test_l_sequence_is_stable_under_reorientation(self, zoo):
         # reorientation never changes which element each step flips

@@ -116,6 +116,13 @@ class TestChambers:
         with pytest.raises(SizeBoundExceeded):
             chambers(arr, bound=3)
 
+    def test_size_bound_names_t_and_the_enumeration_bound(self):
+        arr = random_generic_d3_arrangement(4, seed=7)
+        with pytest.raises(SizeBoundExceeded) as exc:
+            chambers(arr, bound=3)
+        assert (exc.value.size, exc.value.bound) == (4, 3)
+        assert str(exc.value) == "t = 4 elements exceed the chamber-enumeration bound 3"
+
 
 class TestArrangementIO:
     def test_roundtrip(self, demo):

@@ -211,6 +211,17 @@ class TestTopesIO:
         with pytest.raises(ValueError, match="header"):
             parse_topes_text("")
 
+    @pytest.mark.parametrize("count", ["0", "1", "-3"])
+    def test_small_header_rejected_at_its_line(self, count):
+        with pytest.raises(ValueError) as exc:
+            parse_topes_text(f"# tiny\nt {count}\n+\n")
+        assert str(exc.value) == f"line 2: need t >= 2 elements, header says {count}"
+
+    def test_header_without_topes_names_t(self):
+        with pytest.raises(ValueError) as exc:
+            parse_topes_text("t 3\n# no topes\n\n")
+        assert str(exc.value) == "header says t = 3, but no topes follow"
+
     def test_wrong_length_reported_with_line(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_topes_text("t 3\n+++\n++++\n")
