@@ -17,6 +17,7 @@ theoretic one through the based poset, and exhaustive subset search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from .cycles import SymmetricCycle
@@ -78,7 +79,7 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
 
 def sign_matrix(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
     """Rows R^0 .. R^{t-1}: the first half of the cycle as a matrix."""
-    return tuple(v.entries for v in cycle.vertices[: cycle.t])
+    return tuple(tuple(v) for v in cycle.vertices[: cycle.t])
 
 
 def cycle_determinant(cycle: SymmetricCycle) -> int:
@@ -101,7 +102,7 @@ def doubled_inverse(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
     """
     t = cycle.t
     l_seq = cycle.l_sequence
-    base = cycle.base.entries
+    base = cycle.base
     rows = [[0] * t for _ in range(t)]
     for k in range(1, t + 1):
         e = l_seq[k - 1]
@@ -112,10 +113,10 @@ def doubled_inverse(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
         else:
             rows[e - 1][0] = s
             rows[e - 1][t - 1] = s
-    m = sign_matrix(cycle)
-    for i in range(t):
-        for j in range(t):
-            acc = sum(rows[i][k] * m[k][j] for k in range(t))
+    columns = tuple(zip(*sign_matrix(cycle)))
+    for i, row in enumerate(rows):
+        for j, column in enumerate(columns):
+            acc = sum(map(mul, row, column))
             if acc != (2 if i == j else 0):
                 raise VerificationFailed(
                     f"(D M)[{i + 1}][{j + 1}] = {acc}, want {2 if i == j else 0}"
@@ -157,47 +158,33 @@ class CycleDecomposer:
     def __init__(self, cycle: SymmetricCycle):
         self.cycle = cycle
         self.t = cycle.t
-        l_seq = cycle.l_sequence
-        base = cycle.base.entries
-        # Element positions (0-based) in walk order, and the base sign there.
-        self._lidx = tuple(e - 1 for e in l_seq)
-        self._bsign = tuple(base[i] for i in self._lidx)
         cycle_determinant(cycle)
-        doubled_inverse(cycle)
+        # Column j of the checked D as (row, entry, row, entry): D M = 2I
+        # makes the l-sequence a permutation, so each column has two +-1s.
+        self._columns = []
+        for column in zip(*doubled_inverse(cycle)):
+            (i, a), (k, b) = [(i, c) for i, c in enumerate(column) if c]
+            self._columns.append((i, a, k, b))
 
     def coordinates(self, vector: Tope) -> tuple[int, ...]:
-        """x = vector * M^{-1}; entries always land in {-1, 0, 1}.
+        """x = vector * D / 2; entries always land in {-1, 0, 1}.
 
-        With u_k = T_{l_k} B_{l_k} the sparse inverse collapses to
-        x_1 = (u_1 + u_t)/2 and x_k = (u_k - u_{k-1})/2: differences of
-        +-1 values, halved exactly.
+        Each column of D has two +-1 entries, so x_j is half the sum or
+        difference of two signs of the vector: exact, and O(t) in all.
         """
         _check_length(vector, self.t)
-        v = vector.entries
-        u = [v[i] * s for i, s in zip(self._lidx, self._bsign)]
-        x = [(u[0] + u[-1]) // 2]
-        x.extend((u[k] - u[k - 1]) // 2 for k in range(1, self.t))
+        x = tuple([(vector[i] * a + vector[k] * b) // 2 for i, a, k, b in self._columns])
         for c in x:
             if c not in (-1, 0, 1):
                 raise NonTopeInput(vector)
-        return tuple(x)
+        return x
 
     def decompose(self, vector: Tope) -> Decomposition:
         x = self.coordinates(vector)
-        verts = self.cycle.vertices
-        t = self.t
-        members = []
-        for j, c in enumerate(x):
-            if c == 1:
-                members.append(verts[j])
-            elif c == -1:
-                members.append(verts[j + t])
-        return Decomposition(
-            target=vector,
-            coordinates=x,
-            members=frozenset(members),
-            cycle=self.cycle,
-        )
+        verts, t = self.cycle.vertices, self.t
+        # x_j = -1 picks -R^{j-1}, which sits t steps further along.
+        members = frozenset(verts[j if c == 1 else j + t] for j, c in enumerate(x) if c)
+        return Decomposition(vector, x, members, self.cycle)
 
 
 def coordinates(cycle: SymmetricCycle, vector: Tope) -> tuple[int, ...]:
@@ -250,7 +237,7 @@ class BruteForceOracle:
     def __init__(self, cycle: SymmetricCycle):
         self.cycle = cycle
         t = cycle.t
-        half = [v.entries for v in cycle.vertices[:t]]
+        half = sign_matrix(cycle)
         zero = (0,) * t
         table: list[tuple[int, ...]] = [zero] * (1 << t)
         for mask in range(1, 1 << t):
@@ -268,10 +255,9 @@ class BruteForceOracle:
         # Subset = A over the first half plus B over the antipodal half;
         # sum = s_A - s_B, so s_B = s_A - target.
         t = self.cycle.t
-        goal = target.entries
         out = []
         for amask, asum in enumerate(self._table):
-            need = tuple(a - g for a, g in zip(asum, goal))
+            need = tuple(a - g for a, g in zip(asum, target))
             for bmask in self._index.get(need, ()):
                 out.append(amask | (bmask << t))
         return out

@@ -13,6 +13,7 @@ derivation of the contradiction 0 > 0.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -151,7 +152,7 @@ def feasible(arrangement: Arrangement, sigma: Tope) -> bool:
         )
     rows = [
         tuple(s * v for v in normal)
-        for s, normal in zip(sigma.entries, arrangement.primitive_normals)
+        for s, normal in zip(sigma, arrangement.primitive_normals)
     ]
     return _strictly_feasible(rows)
 
@@ -168,8 +169,7 @@ def chambers(arrangement: Arrangement, bound: int = ENUMERATION_BOUND) -> TopeSe
         raise SizeBoundExceeded(t, bound, msg)
     found: list[Tope] = []
     for bits in range(1 << (t - 1)):
-        entries = [1] + [1 if bits >> k & 1 else -1 for k in range(t - 1)]
-        sigma = Tope(tuple(entries))
+        sigma = Tope([1, *(1 if bits >> k & 1 else -1 for k in range(t - 1))])
         if feasible(arrangement, sigma):
             found.append(sigma)
             found.append(-sigma)
@@ -179,7 +179,11 @@ def chambers(arrangement: Arrangement, bound: int = ENUMERATION_BOUND) -> TopeSe
 # -- plain-text serialization -------------------------------------------------
 #
 # Format: header "d <int> t <int>", then one normal per line as whitespace-
-# separated rationals like "1 -2 3/2". '#' starts a comment.
+# separated rationals like "1 -2 3/2 0.25": integers, p/q or plain decimals,
+# never exponents (Fraction("1e1000000000") builds that power of ten). '#'
+# starts a comment.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
 
 def parse_arrangement_text(text: str) -> Arrangement:
     header: tuple[int, int] | None = None
@@ -199,8 +203,11 @@ def parse_arrangement_text(text: str) -> Arrangement:
             except ValueError:
                 raise ValueError(f"line {lineno}: bad header numbers in {raw!r}") from None
             continue
+        tokens = line.split()
         try:
-            rows.append(tuple(Fraction(tok) for tok in line.split()))
+            if not all(map(_RATIONAL.fullmatch, tokens)):
+                raise ValueError
+            rows.append(tuple(map(Fraction, tokens)))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad rational in {raw!r}") from None
     if header is None:

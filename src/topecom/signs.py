@@ -8,7 +8,6 @@ A tope is an immutable vector over {-1, +1}. Ground-set elements are indexed
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 __all__ = [
     "Tope",
@@ -22,12 +21,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Tope:
-    """A +-1 sign vector of length t.
+class Tope(tuple):
+    """A +-1 sign vector of length t: the tuple of its entries.
 
     Topes compare lexicographically with -1 < +1 and the leftmost coordinate
-    most significant, which is exactly tuple order on ``entries``.
+    most significant, which is exactly tuple order. They do not concatenate
+    or repeat like tuples; sum them with :func:`tope_sum`.
 
     >>> Tope.from_string("-++++")
     Tope('-++++')
@@ -35,48 +34,55 @@ class Tope:
     Tope('-+-')
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.entries:
+    def __new__(cls, entries: Iterable[int]) -> "Tope":
+        self = super().__new__(cls, entries)
+        if not self:
             raise ValueError("a tope needs at least one entry")
-        for v in self.entries:
+        for v in self:
             if v != 1 and v != -1:
                 raise ValueError(f"tope entries must be -1 or +1, got {v!r}")
+        return self
 
     @classmethod
     def from_string(cls, text: str) -> "Tope":
         """Parse a '+'/'-' string; inverse of :func:`str`."""
         if not text or any(c not in "+-" for c in text):
             raise ValueError(f"not a tope string: {text!r}")
-        return cls(tuple(1 if c == "+" else -1 for c in text))
+        return cls(1 if c == "+" else -1 for c in text)
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def t(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     def sign(self, e: int) -> int:
         """Sign at element e (1-based)."""
-        if not 1 <= e <= len(self.entries):
-            raise ValueError(f"element {e} outside 1..{len(self.entries)}")
-        return self.entries[e - 1]
+        if not 1 <= e <= len(self):
+            raise ValueError(f"element {e} outside 1..{len(self)}")
+        return self[e - 1]
 
     def flip(self, e: int) -> "Tope":
         """The tope with element e (1-based) negated."""
-        if not 1 <= e <= len(self.entries):
-            raise ValueError(f"element {e} outside 1..{len(self.entries)}")
-        s = list(self.entries)
-        s[e - 1] = -s[e - 1]
-        return Tope(tuple(s))
+        if not 1 <= e <= len(self):
+            raise ValueError(f"element {e} outside 1..{len(self)}")
+        # Still +-1, so skip the checks in __new__; likewise in __neg__.
+        return tuple.__new__(Tope, (*self[: e - 1], -self[e - 1], *self[e:]))
 
     def __neg__(self) -> "Tope":
-        return Tope(tuple(-v for v in self.entries))
+        return tuple.__new__(Tope, [-v for v in self])
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __add__(self, other):
+        raise TypeError("topes do not concatenate or repeat; sum them with tope_sum")
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
     def __str__(self) -> str:
-        return "".join("+" if v == 1 else "-" for v in self.entries)
+        return "".join("+" if v == 1 else "-" for v in self)
 
     def __repr__(self) -> str:
         return f"Tope('{self}')"
@@ -95,29 +101,29 @@ def reorient(tope: Tope, elements: Iterable[int]) -> Tope:
     Reorienting twice on the same set is the identity.
     """
     t = len(tope)
-    signs = list(tope.entries)
+    signs = list(tope)
     for e in set(elements):
         if not 1 <= e <= t:
             raise ValueError(f"element {e} outside 1..{t}")
         signs[e - 1] = -signs[e - 1]
-    return Tope(tuple(signs))
+    return Tope(signs)
 
 
 def negative_part(tope: Tope) -> frozenset[int]:
     """Elements where the tope is -1."""
-    return frozenset(e for e, v in enumerate(tope.entries, 1) if v == -1)
+    return frozenset(e for e, v in enumerate(tope, 1) if v == -1)
 
 
 def positive_part(tope: Tope) -> frozenset[int]:
     """Elements where the tope is +1; complements :func:`negative_part`."""
-    return frozenset(e for e, v in enumerate(tope.entries, 1) if v == 1)
+    return frozenset(e for e, v in enumerate(tope, 1) if v == 1)
 
 
 def separation_set(t1: Tope, t2: Tope) -> frozenset[int]:
     """Elements where two topes of equal length disagree."""
     if len(t1) != len(t2):
         raise ValueError(f"length mismatch: {len(t1)} vs {len(t2)}")
-    return frozenset(e for e, (a, b) in enumerate(zip(t1.entries, t2.entries), 1) if a != b)
+    return frozenset(e for e, (a, b) in enumerate(zip(t1, t2), 1) if a != b)
 
 
 def distance(t1: Tope, t2: Tope) -> int:
@@ -142,10 +148,7 @@ def tope_sum(topes: Sequence[Tope], t: int | None = None) -> tuple[int, ...]:
     n = len(topes[0])
     if t is not None and t != n:
         raise ValueError(f"length mismatch: t={t} vs topes of length {n}")
-    acc = [0] * n
     for tope in topes:
         if len(tope) != n:
             raise ValueError(f"length mismatch: {len(tope)} vs {n}")
-        for i, v in enumerate(tope.entries):
-            acc[i] += v
-    return tuple(acc)
+    return tuple(map(sum, zip(*topes)))

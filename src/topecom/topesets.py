@@ -117,7 +117,7 @@ def build_tope_set(
 
     # Column comparison catches parallel / antiparallel element pairs. The
     # symmetry check above already rules out constant columns.
-    columns = [tuple(tp.entries[i] for tp in topes) for i in range(t)]
+    columns = list(zip(*topes))
     negated = [tuple(-v for v in col) for col in columns]
     for e in range(t):
         for f in range(e + 1, t):
@@ -187,7 +187,7 @@ def halfspace(topeset: TopeSet, e: int, sign: int = 1) -> frozenset[Tope]:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if not 1 <= e <= topeset.t:
         raise ValueError(f"element {e} outside 1..{topeset.t}")
-    return frozenset(tp for tp in topeset.topes if tp.entries[e - 1] == sign)
+    return frozenset(tp for tp in topeset.topes if tp[e - 1] == sign)
 
 
 def is_acyclic(topeset: TopeSet) -> bool:

@@ -107,6 +107,21 @@ class TestValidate:
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
 
+    def test_exponent_rational_exits_one(self, python_env, tmp_path):
+        # Fraction would expand this to a billion-digit integer first.
+        bad = tmp_path / "huge.arr"
+        bad.write_text("d 2 t 2\n1e1000000000 1\n0 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "topecom", "validate", "--arr", str(bad)],
+            capture_output=True,
+            text=True,
+            env=python_env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 2: bad rational in '1e1000000000 1'\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "--topes", "/nonexistent.topes")
         assert code == 1

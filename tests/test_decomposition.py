@@ -91,6 +91,11 @@ class TestSignMatrix:
         assert cyc.l_sequence == (1, 3, 2)
         assert sign_matrix(cyc) == ((1, 1, 1), (-1, 1, 1), (-1, 1, -1))
 
+    def test_rows_are_plain_tuples(self, demo):
+        # callers index these rows; exact tuples keep CPython's fast subscript
+        for cyc in demo.cycles:
+            assert all(type(row) is tuple for row in sign_matrix(cyc))
+
     def test_determinant_magnitude(self, zoo):
         for inst in zoo:
             for cyc in enumerate_cycles(inst.tope_set, budget=10).cycles:
@@ -130,9 +135,12 @@ class TestDoubledInverse:
 
     def test_rows_have_two_entries(self, demo):
         for cyc in demo.cycles:
-            for row in doubled_inverse(cyc):
+            d = doubled_inverse(cyc)
+            for row in d:
                 assert sorted(map(abs, row), reverse=True)[:2] == [1, 1]
                 assert all(v in (-1, 0, 1) for v in row)
+            for column in zip(*d):
+                assert sorted(map(abs, column)) == [0] * (cyc.t - 2) + [1, 1]
 
 
 class TestCoordinates:

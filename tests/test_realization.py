@@ -135,6 +135,18 @@ class TestArrangementIO:
         assert arr.normals[1] == (Fraction(-1, 3), Fraction(2))
         assert "3/2" in format_arrangement_text(arr)
 
+    def test_plain_decimal_tokens(self):
+        arr = parse_arrangement_text("d 2 t 2\n0.5 -.25\n+3 1.\n")
+        assert arr.normals == (
+            (Fraction(1, 2), Fraction(-1, 4)),
+            (Fraction(3), Fraction(1)),
+        )
+
+    @pytest.mark.parametrize("token", ["1e3", "2.5E-1", "1_000", "inf"])
+    def test_only_integers_fractions_and_decimals(self, token):
+        with pytest.raises(ValueError, match="line 2: bad rational"):
+            parse_arrangement_text(f"d 2 t 2\n{token} 1\n0 1\n")
+
     def test_comments_and_blanks(self):
         text = "# demo\nd 2 t 2\n\n1 0  # x axis\n0 1\n"
         assert parse_arrangement_text(text).t == 2

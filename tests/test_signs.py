@@ -68,6 +68,31 @@ class TestTope:
         with pytest.raises(ValueError):
             positive_tope(1)
 
+    def test_any_iterable_of_signs(self):
+        want = Tope((1, -1))
+        for T in (Tope([1, -1]), Tope(v for v in (1, -1))):
+            assert T == want
+            assert hash(T) == hash(want)
+            assert sorted([T, -T]) == [-want, want]
+            assert str(T) == "+-"
+
+    @given(topes)
+    def test_entries_is_a_plain_tuple(self, T):
+        assert type(T.entries) is tuple
+        assert Tope(T.entries) == T
+
+    @given(topes)
+    def test_no_concatenation_or_repetition(self, T):
+        for combine in (
+            lambda: T + T,
+            lambda: T * 2,
+            lambda: 2 * T,
+            lambda: T.entries + T,
+            lambda: sum([T, T]),
+        ):
+            with pytest.raises(TypeError):
+                combine()
+
 
 class TestReorient:
     def test_single_element(self):
