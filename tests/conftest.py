@@ -42,16 +42,16 @@ def _random_normals(rng: random.Random, d: int, t: int) -> list[tuple[int, ...]]
     return [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(t)]
 
 
-def random_generic_d3_arrangement(t: int, seed: int) -> Arrangement:
-    """Integer normals, resampled until simple and fully generic."""
+def random_generic_arrangement(d: int, t: int, seed: int) -> Arrangement:
+    """Integer normals, resampled until every d of them are independent."""
     rng = random.Random(seed)
     while True:
-        normals = _random_normals(rng, 3, t)
+        normals = _random_normals(rng, d, t)
         try:
-            arr = validate_arrangement(3, normals)
+            arr = validate_arrangement(d, normals)
         except TopecomError:
             continue
-        if any(bareiss_determinant(tri) == 0 for tri in combinations(normals, 3)):
+        if any(bareiss_determinant(sub) == 0 for sub in combinations(normals, d)):
             continue
         return arr
 
@@ -98,7 +98,7 @@ def zoo(cube, hexagon, demo) -> tuple[Instance, ...]:
         Instance("demo", demo.carrier, demo.arrangement, generic_d3=True),
     ]
     for t, seed in D3_SPECS:
-        arr = random_generic_d3_arrangement(t, seed)
+        arr = random_generic_arrangement(3, t, seed)
         instances.append(
             Instance(f"d3-t{t}-s{seed}", chambers(arr), arr, generic_d3=True)
         )

@@ -148,13 +148,13 @@ def test_criterion_4_committee_guarantees(zoo, demo):
 
 
 def test_criterion_5_generic_plane_counts():
-    from conftest import random_generic_d3_arrangement
+    from conftest import random_generic_arrangement
 
     def body():
         from topecom import build_tope_set
 
         for t, seed in ((4, 901), (5, 902), (6, 903)):
-            arr = random_generic_d3_arrangement(t, seed=seed)
+            arr = random_generic_arrangement(3, t, seed=seed)
             ts = chambers(arr)
             assert len(ts) == t * (t - 1) + 2
             # the listing must survive a full revalidation from scratch

@@ -2,15 +2,20 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from topecom import (
     BadDimension,
     ScalarMultiple,
     SizeBoundExceeded,
     Tope,
+    TopecomError,
     ZeroNormal,
+    build_tope_set,
     chambers,
     feasible,
     format_arrangement_text,
@@ -20,10 +25,38 @@ from topecom import (
     validate_arrangement,
     write_arrangement_file,
 )
-from conftest import random_generic_d3_arrangement
+from topecom import realization
+from conftest import random_generic_arrangement
 
 CUBE = ((1, 0), (0, 1))
 HEXAGON = ((1, 0), (0, 1), (1, 1))
+
+
+def exhaustive_chambers(arrangement):
+    """The plain loop: every sign vector with +1 first, kept when feasible."""
+    found = []
+    for tail in product((1, -1), repeat=arrangement.t - 1):
+        sigma = Tope((1, *tail))
+        if feasible(arrangement, sigma):
+            found += (sigma, -sigma)
+    return build_tope_set(found)
+
+
+def zaslavsky_count(d: int, t: int) -> int:
+    """Chambers of a generic central arrangement of t planes in rank d."""
+    return 2 * sum(comb(t - 1, i) for i in range(d))
+
+
+@st.composite
+def small_arrangements(draw):
+    """Small integer arrangements, degenerate ones included."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    entry = st.integers(min_value=-2, max_value=2)
+    normals = draw(st.lists(st.tuples(*[entry] * d), min_size=2, max_size=6))
+    try:
+        return validate_arrangement(d, normals)
+    except TopecomError:
+        reject()
 
 
 class TestValidation:
@@ -101,23 +134,59 @@ class TestChambers:
     def test_generic_plane_counts(self):
         # a generic rank-3 arrangement of t planes cuts t*(t-1) + 2 chambers
         for t in (4, 5, 6):
-            arr = random_generic_d3_arrangement(t, seed=400 + t)
+            arr = random_generic_arrangement(3, t, seed=400 + t)
             assert len(chambers(arr)) == t * (t - 1) + 2
 
     def test_demo_chambers_match_fixture(self, demo):
         assert chambers(demo.arrangement) == demo.carrier
+
+    def test_generic_rank4_counts(self):
+        for t in (8, 9):
+            arr = random_generic_arrangement(4, t, seed=600 + t)
+            assert len(chambers(arr)) == zaslavsky_count(4, t)
+
+    def test_matches_exhaustive_loop_on_the_zoo(self, zoo):
+        for inst in zoo:
+            if inst.arrangement is not None:
+                assert chambers(inst.arrangement) == exhaustive_chambers(inst.arrangement)
+
+    @pytest.mark.parametrize("d, t", [(3, 10), (4, 9)])
+    def test_matches_exhaustive_loop_on_generic_arrangements(self, d, t):
+        arr = random_generic_arrangement(d, t, seed=700 + t)
+        assert chambers(arr) == exhaustive_chambers(arr)
+
+    @given(small_arrangements())
+    def test_matches_exhaustive_loop_off_general_position(self, arr):
+        assert chambers(arr) == exhaustive_chambers(arr)
+
+    def test_feasibility_tests_follow_the_chamber_count(self, monkeypatch):
+        # Adding plane k+1 tests each of the C(k, 2) + 1 chambers of the
+        # first k planes (those with +1 first) at most twice.
+        calls = 0
+        inner = realization._strictly_feasible
+
+        def counting(rows):
+            nonlocal calls
+            calls += 1
+            return inner(rows)
+
+        monkeypatch.setattr(realization, "_strictly_feasible", counting)
+        t = 11
+        chambers(random_generic_arrangement(3, t, seed=811))
+        assert calls <= 2 * sum(comb(k, 2) + 1 for k in range(1, t))
+        assert calls < 2 ** (t - 1)
 
     def test_result_is_acyclic_for_first_orthant_arrangements(self):
         # all-positive interior points exist for these normals
         assert is_acyclic(chambers(validate_arrangement(2, HEXAGON)))
 
     def test_size_bound(self):
-        arr = random_generic_d3_arrangement(4, seed=7)
+        arr = random_generic_arrangement(3, 4, seed=7)
         with pytest.raises(SizeBoundExceeded):
             chambers(arr, bound=3)
 
     def test_size_bound_names_t_and_the_enumeration_bound(self):
-        arr = random_generic_d3_arrangement(4, seed=7)
+        arr = random_generic_arrangement(3, 4, seed=7)
         with pytest.raises(SizeBoundExceeded) as exc:
             chambers(arr, bound=3)
         assert (exc.value.size, exc.value.bound) == (4, 3)
