@@ -32,6 +32,9 @@ __all__ = [
     "enumerate_critical",
 ]
 
+# Worst-case `is_minimal` time (no subset is a committee, so all 2^k - 2 are
+# tried) on rank-2 sets with t = k + 2, best of 3, Python 3.11 on a shared
+# 2-vCPU VM: k=12 21 ms, k=14 73-98 ms, k=16 0.43 s; each +2 in k costs 3.5-6x.
 MINIMALITY_BOUND = 16
 
 

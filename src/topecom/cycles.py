@@ -62,8 +62,9 @@ class SymmetricCycle:
         out = []
         for k in range(self.t):
             diff = separation_set(self.vertices[k], self.vertices[k + 1])
-            (e,) = diff
-            out.append(e)
+            if len(diff) != 1:
+                raise NonAdjacentStep(k)
+            out.extend(diff)
         return tuple(out)
 
     def __len__(self) -> int:

@@ -56,22 +56,17 @@ class BasedPoset:
     def hasse_edges(self, among: Iterable[Tope] | None = None) -> list[tuple[Tope, Tope]]:
         """Cover pairs (lower, upper) of the induced subposet, sorted.
 
-        Betweenness is tested against the subset itself, so the result is
-        the Hasse diagram of the induced order, not a restriction of the
-        carrier's diagram.
+        A member's upper covers are the minima of its strict up-set in the
+        subset: exact on any tope set, realizable or not. Covers are taken
+        inside the subset, so this is the Hasse diagram of the induced order,
+        not a restriction of the carrier's diagram.
         """
         pool = sorted(self.carrier.topes if among is None else set(among))
         seps = {tp: self._sep_of(tp) for tp in pool}
         edges = []
         for lo in pool:
-            slo = seps[lo]
-            for hi in pool:
-                shi = seps[hi]
-                if not slo < shi:
-                    continue
-                between = any(slo < seps[mid] < shi for mid in pool)
-                if not between:
-                    edges.append((lo, hi))
+            above = [hi for hi in pool if seps[lo] < seps[hi]]
+            edges.extend((lo, hi) for hi in _inclusion_minimal(above, seps.__getitem__))
         return sorted(edges)
 
 

@@ -8,6 +8,7 @@ from topecom import (
     BruteForceOracle,
     CycleDecomposer,
     DeterminantMismatch,
+    NonAdjacentStep,
     NotInTopeSet,
     SymmetricCycle,
     Tope,
@@ -112,6 +113,14 @@ class TestSignMatrix:
         assert (exc.value.got, exc.value.expected) == (0, 4)
         with pytest.raises(VerificationFailed):
             doubled_inverse(fake)
+
+    def test_non_adjacent_step_in_raw_listing(self):
+        # step 0 (+++ -> +--) flips two elements; the determinant is still 4,
+        # so the fault surfaces when the l-sequence is read
+        fake = SymmetricCycle(topes("+++", "+--", "++-", "---", "-++", "--+"), hexagon())
+        with pytest.raises(NonAdjacentStep) as exc:
+            decompose(fake, tope("+++"))
+        assert exc.value.position == 0
 
 
 class TestDoubledInverse:

@@ -1,11 +1,16 @@
 """Base-anchored tope order: comparisons, ranks, extremal elements."""
 
+import random
+from itertools import product
+
 import pytest
 
 from topecom import (
     BasedPoset,
     NotInTopeSet,
     Tope,
+    TopecomError,
+    adjacency_edges,
     build_tope_set,
     max_positive,
     positive_tope,
@@ -15,6 +20,41 @@ from topecom import (
 
 def tope(s: str) -> Tope:
     return Tope.from_string(s)
+
+
+def covers_by_betweenness(poset, pool):
+    """Cover pairs by the cubic scan: lo < hi with no member strictly between.
+
+    The independent oracle for ``hasse_edges``, which finds covers as the
+    inclusion-minimal members of each strict up-set instead.
+    """
+    pool = sorted(set(pool))
+    seps = {tp: separation_set(poset.base, tp) for tp in pool}
+    edges = []
+    for lo in pool:
+        for hi in pool:
+            if seps[lo] < seps[hi] and not any(
+                seps[lo] < seps[mid] < seps[hi] for mid in pool
+            ):
+                edges.append((lo, hi))
+    return sorted(edges)
+
+
+def symmetric_t4_sets():
+    """The symmetric sets of length-4 sign vectors that build_tope_set accepts.
+
+    Each is a union of antipodal pairs; many are not tope sets of any
+    oriented matroid.
+    """
+    pairs = [Tope(v) for v in product((-1, 1), repeat=4) if v[0] == -1]
+    accepted = []
+    for mask in range(1, 1 << len(pairs)):
+        chosen = [tp for i, tp in enumerate(pairs) if mask >> i & 1]
+        try:
+            accepted.append(build_tope_set(chosen + [-tp for tp in chosen]))
+        except TopecomError:
+            pass
+    return accepted
 
 
 def hexagon_poset():
@@ -183,3 +223,39 @@ class TestHasseEdges:
         p = hexagon_poset()
         among = frozenset({tope("+++"), tope("+--")})
         assert p.hasse_edges(among) == [(tope("+++"), tope("+--"))]
+
+    def test_matches_betweenness_on_the_zoo(self, zoo):
+        rng = random.Random(7)
+        for inst in zoo:
+            ts = inst.tope_set
+            for base in [ts.topes[0], *rng.sample(ts.topes[1:], 2)]:
+                p = BasedPoset(ts, base)
+                assert p.hasse_edges() == covers_by_betweenness(p, ts.topes), inst.name
+                among = rng.sample(ts.topes, len(ts) // 2)
+                assert p.hasse_edges(among) == covers_by_betweenness(p, among), inst.name
+
+    def test_matches_betweenness_on_every_symmetric_t4_set(self):
+        sets = symmetric_t4_sets()
+        assert len(sets) == 109
+        for ts in sets:
+            for base in ts.topes:
+                p = BasedPoset(ts, base)
+                assert p.hasse_edges() == covers_by_betweenness(p, ts.topes)
+
+    def test_covers_need_not_be_tope_graph_edges(self):
+        # build_tope_set accepts this set (it is its own negation), but it is
+        # no oriented matroid's tope set: at base ---- two covers change three
+        # signs at once, so the tope graph oriented away from the base would
+        # miss them. That is why hasse_edges does not walk the tope graph.
+        ts = build_tope_set(
+            map(tope, "---- ---+ --+- --++ -+-- +-++ ++-- ++-+ +++- ++++".split())
+        )
+        p = BasedPoset(ts, tope("----"))
+        edges = p.hasse_edges()
+        flips = set(adjacency_edges(ts))
+        assert len(edges) == 14
+        assert len(flips) == 12
+        assert [e for e in edges if e not in flips] == [
+            (tope("---+"), tope("++-+")),
+            (tope("--+-"), tope("+++-")),
+        ]
