@@ -72,17 +72,18 @@ def is_committee(candidate: CommitteeCandidate) -> bool:
     return all(c >= 1 for c in committee_sum(candidate))
 
 
-def is_minimal(candidate: CommitteeCandidate, bound: int = MINIMALITY_BOUND) -> bool:
+def is_minimal(candidate: CommitteeCandidate) -> bool:
     """No nonempty proper subset is a committee; checked exhaustively.
 
     The committee property is not monotone under removal, so all proper
     subsets are tried. A candidate that is itself no committee can still be
-    minimal in this vacuous sense. Sizes above ``bound`` are refused.
+    minimal in this vacuous sense. Sizes above ``MINIMALITY_BOUND`` are
+    refused.
     """
     members = candidate.sorted_members()
     k = len(members)
-    if k > bound:
-        raise SizeBoundExceeded(k, bound)
+    if k > MINIMALITY_BOUND:
+        raise SizeBoundExceeded(k, MINIMALITY_BOUND)
     t = candidate.carrier.t
     for size in range(1, k):
         for subset in combinations(members, size):
@@ -91,10 +92,10 @@ def is_minimal(candidate: CommitteeCandidate, bound: int = MINIMALITY_BOUND) -> 
     return True
 
 
-def is_critical(candidate: CommitteeCandidate, bound: int = MINIMALITY_BOUND) -> bool:
+def is_critical(candidate: CommitteeCandidate) -> bool:
     """Sum equals the all-ones vector exactly, and the candidate is minimal."""
     ones = (1,) * candidate.carrier.t
-    return committee_sum(candidate) == ones and is_minimal(candidate, bound)
+    return committee_sum(candidate) == ones and is_minimal(candidate)
 
 
 def _require_acyclic(carrier: TopeSet) -> None:

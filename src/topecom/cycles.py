@@ -137,7 +137,10 @@ def _paths_through(
 
     Yields the first t+1 vertices in lexicographic order of the element
     sequence. The walk keeps its own stack, so depth t costs no recursion;
-    flips are pushed in descending order so the smallest pops first. With
+    flips are pushed in descending order so the smallest pops first. Each
+    element flips at most once, so e is still unflipped exactly when the
+    current vertex agrees with ``base`` at e, and a path of t+1 vertices
+    ends at -base. With
     ``least`` it walks only the cycles whose smallest vertex is ``base``:
     it never steps onto a v with v < base or -v < base, and yields nothing
     when -base < base.
@@ -146,18 +149,19 @@ def _paths_through(
         return
     t = carrier.t
     nbrs = carrier.flip_neighbors
-    stack: list[tuple[tuple[Tope, ...], frozenset[int]]] = [((base,), frozenset())]
+    stack: list[tuple[Tope, ...]] = [(base,)]
     while stack:
-        path, used = stack.pop()
-        if len(used) == t:
+        path = stack.pop()
+        if len(path) > t:
             yield path
             continue
-        steps = nbrs[path[-1]]
+        here = path[-1]
+        steps = nbrs[here]
         for e in sorted(steps, reverse=True):
             nxt = steps[e]
-            if e in used or (least and (nxt < base or -nxt < base)):
+            if here[e - 1] != base[e - 1] or (least and (nxt < base or -nxt < base)):
                 continue
-            stack.append((path + (nxt,), used | {e}))
+            stack.append(path + (nxt,))
 
 
 def _cycles_through(

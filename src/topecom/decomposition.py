@@ -24,6 +24,7 @@ from .cycles import SymmetricCycle
 from .errors import (
     DeterminantMismatch,
     NonTopeInput,
+    NotAntipodal,
     OracleAmbiguous,
     OracleNotFound,
     VerificationFailed,
@@ -99,6 +100,13 @@ def doubled_inverse(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
     writes row l_k of M^{-1} with two entries +-1/2. Row l_t uses the closing
     step onto -R^0 instead. The product D M is then checked to be twice the
     identity.
+
+    That check also proves |det M| = 2^(t-1). If D M = 2I, no row of D is
+    zero, so the l-sequence is a permutation and every row of D holds its
+    two +-1 entries: row l_k in columns k-1 and k, row l_t in columns 0 and
+    t-1. D's support is then one 2t-cycle, which carries exactly two
+    permutations, so det D is in {0, +-2}. D M = 2I forces det D != 0, so
+    |det D| = 2 and |det M| = 2^t / 2 = 2^(t-1).
     """
     t = cycle.t
     l_seq = cycle.l_sequence
@@ -151,14 +159,19 @@ class Decomposition:
 class CycleDecomposer:
     """Per-cycle closed-form machinery, built once and reused.
 
-    Construction checks the determinant and the inverse identity; after
-    that each decomposition costs O(t).
+    Construction checks that the second half of the listing negates the
+    first, which :meth:`decompose` reads, and runs the one D M = 2I check of
+    :func:`doubled_inverse`, which also proves the determinant identity.
+    After that each decomposition costs O(t).
     """
 
     def __init__(self, cycle: SymmetricCycle):
         self.cycle = cycle
-        self.t = cycle.t
-        cycle_determinant(cycle)
+        self.t = t = cycle.t
+        verts = cycle.vertices
+        for k in range(t):
+            if verts[k + t] != -verts[k]:
+                raise NotAntipodal(k)
         # Column j of the checked D as (row, entry, row, entry): D M = 2I
         # makes the l-sequence a permutation, so each column has two +-1s.
         self._columns = []

@@ -166,18 +166,19 @@ def feasible(arrangement: Arrangement, sigma: Tope) -> bool:
     return _strictly_feasible(rows)
 
 
-def chambers(arrangement: Arrangement, bound: int = ENUMERATION_BOUND) -> TopeSet:
+def chambers(arrangement: Arrangement) -> TopeSet:
     """Enumerate all chambers into a validated tope set, one plane at a time.
 
     Central symmetry halves the work: only chambers with +1 first entry are
     built, and each contributes its negation too. Each chamber of planes
     1..k is kept as its sign prefix and signed integer rows; plane k+1 keeps
-    the sides of it that pass :func:`_strictly_feasible`.
+    the sides of it that pass :func:`_strictly_feasible`. More than
+    ``ENUMERATION_BOUND`` elements are refused.
     """
     t = arrangement.t
-    if t > bound:
-        msg = f"t = {t} elements exceed the chamber-enumeration bound {bound}"
-        raise SizeBoundExceeded(t, bound, msg)
+    if t > ENUMERATION_BOUND:
+        msg = f"t = {t} elements exceed the chamber-enumeration bound {ENUMERATION_BOUND}"
+        raise SizeBoundExceeded(t, ENUMERATION_BOUND, msg)
     first, *rest = arrangement.primitive_normals
     cells = [((1,), [first])]
     for a in rest:

@@ -9,9 +9,11 @@ from topecom import (
     CycleDecomposer,
     DeterminantMismatch,
     NonAdjacentStep,
+    NotAntipodal,
     NotInTopeSet,
     SymmetricCycle,
     Tope,
+    TopecomError,
     VerificationFailed,
     bareiss_determinant,
     brute_force_decompose,
@@ -27,6 +29,7 @@ from topecom import (
     sign_matrix,
     tope_sum,
 )
+from topecom import decomposition
 
 
 def tope(s: str) -> Tope:
@@ -113,6 +116,8 @@ class TestSignMatrix:
         assert (exc.value.got, exc.value.expected) == (0, 4)
         with pytest.raises(VerificationFailed):
             doubled_inverse(fake)
+        with pytest.raises(TopecomError):
+            CycleDecomposer(fake)
 
     def test_non_adjacent_step_in_raw_listing(self):
         # step 0 (+++ -> +--) flips two elements; the determinant is still 4,
@@ -121,6 +126,20 @@ class TestSignMatrix:
         with pytest.raises(NonAdjacentStep) as exc:
             decompose(fake, tope("+++"))
         assert exc.value.position == 0
+
+    def test_second_half_that_is_not_antipodal(self, demo):
+        # decompose reads vertex j+t as -R^j, which neither the determinant
+        # nor D M = 2I looks at: this listing would give ++--- as {-+---}
+        cyc = demo.cycles[2]
+        t = cyc.t
+        verts = list(cyc.vertices)
+        verts[t + 1] = verts[t + 2]
+        fake = SymmetricCycle(tuple(verts), cyc.carrier)
+        with pytest.raises(NotAntipodal) as exc:
+            decompose(fake, tope("++---"))
+        assert exc.value.position == 1
+        with pytest.raises(NotAntipodal):
+            CycleDecomposer(fake)
 
 
 class TestDoubledInverse:
@@ -141,6 +160,72 @@ class TestDoubledInverse:
                     for j in range(t):
                         acc = sum(d[i][k] * m[k][j] for k in range(t))
                         assert acc == (2 if i == j else 0)
+
+    def test_determinant_is_two(self, zoo):
+        # the step of the doubled_inverse proof that gives |det M| = 2^(t-1)
+        for inst in zoo:
+            for cyc in enumerate_cycles(inst.tope_set, budget=10).cycles:
+                assert abs(bareiss_determinant(doubled_inverse(cyc))) == 2
+
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.sampled_from((1, -1)), min_size=t, max_size=t),
+                st.one_of(
+                    st.permutations(range(1, t + 1)),
+                    st.lists(
+                        st.integers(min_value=1, max_value=t), min_size=t, max_size=t
+                    ),
+                ),
+                st.booleans(),
+            )
+        )
+    )
+    def test_one_check_rejects_what_the_two_did(self, drawn):
+        start, flips, negate_first_half = drawn
+        t = len(start)
+        walk = [Tope(start)]
+        for e in flips:
+            walk.append(walk[-1].flip(e))
+        # a raw listing: either the walk's first t vertices and their
+        # negations, or the whole walk, then the negations of vertices 1..t-1
+        if negate_first_half:
+            verts = walk[:t] + [-v for v in walk[:t]]
+        else:
+            verts = walk + [-v for v in walk[1:t]]
+        cyc = SymmetricCycle(tuple(verts), None)
+        try:
+            cycle_determinant(cyc)
+            doubled_inverse(cyc)
+        except TopecomError:
+            with pytest.raises(TopecomError):
+                CycleDecomposer(cyc)
+        else:
+            CycleDecomposer(cyc)
+            assert abs(cycle_determinant(cyc)) == 2 ** (t - 1)
+
+    def test_decomposer_needs_no_determinant(self, zoo, monkeypatch):
+        cycles = [
+            cyc
+            for inst in zoo
+            for cyc in enumerate_cycles(inst.tope_set, budget=10).cycles
+        ]
+        answers = [
+            (coordinates(cyc, v), decompose(cyc, v).members)
+            for cyc in cycles
+            for v in cyc.carrier.topes[:4]
+        ]
+
+        def refuse(*args):
+            raise AssertionError("determinant recomputed")
+
+        monkeypatch.setattr(decomposition, "cycle_determinant", refuse)
+        monkeypatch.setattr(decomposition, "bareiss_determinant", refuse)
+        assert answers == [
+            (coordinates(cyc, v), decompose(cyc, v).members)
+            for cyc in cycles
+            for v in cyc.carrier.topes[:4]
+        ]
 
     def test_rows_have_two_entries(self, demo):
         for cyc in demo.cycles:

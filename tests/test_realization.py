@@ -181,16 +181,16 @@ class TestChambers:
         assert is_acyclic(chambers(validate_arrangement(2, HEXAGON)))
 
     def test_size_bound(self):
-        arr = random_generic_arrangement(3, 4, seed=7)
+        arr = random_generic_arrangement(3, 13, seed=7)
         with pytest.raises(SizeBoundExceeded):
-            chambers(arr, bound=3)
+            chambers(arr)
 
     def test_size_bound_names_t_and_the_enumeration_bound(self):
-        arr = random_generic_arrangement(3, 4, seed=7)
+        arr = random_generic_arrangement(3, 13, seed=7)
         with pytest.raises(SizeBoundExceeded) as exc:
-            chambers(arr, bound=3)
-        assert (exc.value.size, exc.value.bound) == (4, 3)
-        assert str(exc.value) == "t = 4 elements exceed the chamber-enumeration bound 3"
+            chambers(arr)
+        assert (exc.value.size, exc.value.bound) == (13, 12)
+        assert str(exc.value) == "t = 13 elements exceed the chamber-enumeration bound 12"
 
 
 class TestArrangementIO:
