@@ -8,7 +8,12 @@ oriented structure once no normal is zero and no two are proportional.
 Feasibility of a sign vector is decided exactly: the strict homogeneous
 system sigma_e <a_e, x> > 0 goes through Fourier-Motzkin elimination over
 integers (strict + strict stays strict), and infeasibility shows up as the
-derivation of the contradiction 0 > 0.
+derivation of the contradiction 0 > 0. Two devices keep the elimination
+small. Chernikov's rule (Chernikov 1965; Kohler 1967) drops each combined
+row drawn from more inputs than one plus the number of variables eliminated,
+as the rows kept imply it. And elimination stops at two variables: the
+two-variable step then needs only the extreme slopes on each side of the
+next variable, found in one pass, where a last elimination pairs every row.
 
 Chambers are enumerated by inserting the planes one at a time: each chamber
 of the first k planes is split by plane k+1 into its nonempty sides, found
@@ -26,7 +31,7 @@ from math import gcd, lcm
 
 from .errors import BadDimension, ScalarMultiple, SizeBoundExceeded, ZeroNormal
 from .signs import Tope
-from .topesets import TopeSet, build_tope_set
+from .topesets import TopeSet, _pair_up_to_sign, build_tope_set
 
 __all__ = [
     "Arrangement",
@@ -39,10 +44,13 @@ __all__ = [
     "write_arrangement_file",
 ]
 
-# Measured `chambers` time, best of 3, on generic arrangements with integer
-# normals in [-9, 9] (seeds 1-3), Python 3.11 on a shared 2-vCPU Xeon VM:
-# d3 t=12 0.06-0.08 s, t=13 0.07-0.11 s; d4 t=12 0.8-1.5 s, t=13 1.8-3.7 s.
-# The cost follows the chamber count, so t=12 keeps rank 4 near a second.
+# Measured `chambers` time on generic arrangements with integer normals in
+# [-9, 9], Python 3.11 on a shared 2-vCPU Xeon VM. Best of 3, seeds 1-3:
+# d3 t=12 0.02 s, t=13 0.03 s; d4 t=12 and t=13 0.13 s. Seed 1 at t=12,
+# over two sweeps: d5 0.3-0.5 s, d6 0.6-0.9 s, d8 1.2-2.0 s, d10 1.7-1.9 s,
+# d12 1.6-2.0 s, and d14, d16, d20 (one run each) 2.0-2.4 s. With at most
+# 2^(t-1) chambers and Chernikov's rule in every rank, this bound on t
+# keeps every d within seconds.
 ENUMERATION_BOUND = 12
 
 RationalVector = tuple[Fraction, ...]
@@ -90,12 +98,11 @@ def validate_arrangement(d: int, normals) -> Arrangement:
     for e, p in enumerate(prim, 1):
         if not any(p):
             raise ZeroNormal(e)
-    for e in range(len(prim)):
-        for f in range(e + 1, len(prim)):
-            if prim[e] == prim[f]:
-                raise ScalarMultiple(e + 1, f + 1, "parallel")
-            if prim[e] == tuple(-v for v in prim[f]):
-                raise ScalarMultiple(e + 1, f + 1, "antiparallel")
+    pair = _pair_up_to_sign(prim)
+    if pair is not None:
+        e, f = pair
+        kind = "parallel" if prim[e] == prim[f] else "antiparallel"
+        raise ScalarMultiple(e + 1, f + 1, kind)
     return Arrangement(d, tuple(rows))
 
 
@@ -108,37 +115,98 @@ def _reduced(row: tuple[int, ...]) -> tuple[int, ...]:
     return row
 
 
-def _eliminate(rows: set[tuple[int, ...]], j: int) -> set[tuple[int, ...]] | None:
-    """Project away variable j; None signals the contradiction 0 > 0."""
+def _eliminate(
+    live: dict[tuple[int, ...], int], j: int, s: int
+) -> dict[tuple[int, ...], int] | None:
+    """Project away variable j as the s-th elimination; None signals 0 > 0.
+
+    Each row maps to the set of input rows it combines, as a bitmask (bit i
+    for input i). Chernikov's rule drops a combination of more than s + 1
+    inputs: the rows kept imply it. Of two equal rows the one with fewer
+    inputs stays.
+    """
     pos, neg = [], []
-    out: set[tuple[int, ...]] = set()
-    for r in rows:
+    out: dict[tuple[int, ...], int] = {}
+    for r, inputs in live.items():
         c = r[j]
         if c > 0:
-            pos.append(r)
+            pos.append((r, inputs))
         elif c < 0:
-            neg.append(r)
+            neg.append((r, inputs))
         else:
-            out.add(r)
-    for p in pos:
+            out[r] = inputs
+    for p, p_inputs in pos:
         pj = p[j]
-        for n in neg:
+        for n, n_inputs in neg:
+            inputs = p_inputs | n_inputs
+            size = inputs.bit_count()
+            if size > s + 1:
+                continue
             nj = -n[j]
             combined = _reduced(tuple(nj * pv + pj * nv for pv, nv in zip(p, n)))
             if not any(combined):
                 return None
-            out.add(combined)
+            kept = out.get(combined)
+            if kept is None or size < kept.bit_count():
+                out[combined] = inputs
     return out
 
 
+def _two_variable(rows, j: int, k: int) -> bool:
+    """Decide r_j x + r_k y > 0 for nonzero rows in x, y in one pass.
+
+    Eliminating x pairs a row (a, b), a > 0, with a row (a', b'), a' < 0,
+    into a y-coefficient of the sign of b/a + b'/(-a'); a row with a = 0
+    fixes the sign of y. So some y works exactly when the least slopes of
+    the two sides sum above 0, or the greatest below 0, and agrees with
+    every fixed sign. Slopes compare by integer cross-multiplication.
+    """
+    y_sign = 0
+    # Per side (a > 0, a < 0): least and greatest slope b/|a| as (b, |a|).
+    lo: list[tuple[int, int] | None] = [None, None]
+    hi: list[tuple[int, int] | None] = [None, None]
+    for r in rows:
+        a, b = r[j], r[k]
+        if a == 0:
+            # b != 0: every other entry of the row is 0 and the row is not.
+            sign = 1 if b > 0 else -1
+            if y_sign == -sign:
+                return False
+            y_sign = sign
+            continue
+        side = 0 if a > 0 else 1
+        a = abs(a)
+        least = lo[side]
+        if least is None:
+            lo[side] = hi[side] = (b, a)
+        elif b * least[1] < least[0] * a:
+            lo[side] = (b, a)
+        elif b * hi[side][1] > hi[side][0] * a:
+            hi[side] = (b, a)
+    if lo[0] is None or lo[1] is None:
+        return True
+    (pb, pa), (nb, na) = lo
+    if pb * na + nb * pa > 0 and y_sign >= 0:
+        return True
+    (pb, pa), (nb, na) = hi
+    return pb * na + nb * pa < 0 and y_sign <= 0
+
+
 def _strictly_feasible(rows: list[tuple[int, ...]]) -> bool:
-    """Does an exact rational point satisfy every strict inequality r.x > 0?"""
-    live = {_reduced(r) for r in rows}
-    if any(not any(r) for r in live):
-        return False
-    d = len(rows[0]) if rows else 0
-    remaining = list(range(d))
-    while remaining:
+    """Does an exact rational point satisfy every strict inequality r.x > 0?
+
+    Takes one or more rows of d >= 2 integers. Fourier-Motzkin eliminates
+    all but two variables, then :func:`_two_variable` decides the rest.
+    """
+    live: dict[tuple[int, ...], int] = {}
+    for i, r in enumerate(rows):
+        r = _reduced(r)
+        if not any(r):
+            return False
+        live.setdefault(r, 1 << i)
+    remaining = list(range(len(rows[0])))
+    s = 0
+    while len(remaining) > 2:
         # Cheapest projection first keeps the intermediate systems small.
         def cost(j: int) -> int:
             p = sum(1 for r in live if r[j] > 0)
@@ -146,11 +214,12 @@ def _strictly_feasible(rows: list[tuple[int, ...]]) -> bool:
             return p * n
         j = min(remaining, key=cost)
         remaining.remove(j)
-        nxt = _eliminate(live, j)
+        s += 1
+        nxt = _eliminate(live, j, s)
         if nxt is None:
             return False
         live = nxt
-    return True
+    return _two_variable(live, *remaining)
 
 
 def feasible(arrangement: Arrangement, sigma: Tope) -> bool:

@@ -66,16 +66,22 @@ class TopeSet:
         """For each tope, the map element -> neighbor obtained by flipping it.
 
         Only flips that land inside the set appear. Computed once and reused
-        by every graph walk, so lookups stay O(1).
+        by every graph walk, so lookups stay O(1). Each member is coded once
+        as an int with bit t - e set when entry e is +, so flipping e is an
+        XOR with that bit and one dict lookup.
         """
-        members = self.members
+        t = self.t
+        digit = {1: "1", -1: "0"}.__getitem__
+        codes = [int("".join(map(digit, tope)), 2) for tope in self.topes]
+        by_code = dict(zip(codes, self.topes))
+        bits = [(e, 1 << (t - e)) for e in range(1, t + 1)]
         out: dict[Tope, dict[int, Tope]] = {}
-        for tope in self.topes:
+        for tope, code in zip(self.topes, codes):
             nbrs: dict[int, Tope] = {}
-            for e in range(1, self.t + 1):
-                flipped = tope.flip(e)
-                if flipped in members:
-                    nbrs[e] = flipped
+            for e, bit in bits:
+                nbr = by_code.get(code ^ bit)
+                if nbr is not None:
+                    nbrs[e] = nbr
             out[tope] = nbrs
         return out
 
@@ -118,13 +124,11 @@ def build_tope_set(
     # Column comparison catches parallel / antiparallel element pairs. The
     # symmetry check above already rules out constant columns.
     columns = list(zip(*topes))
-    negated = [tuple(-v for v in col) for col in columns]
-    for e in range(t):
-        for f in range(e + 1, t):
-            if columns[e] == columns[f]:
-                raise ParallelElements(e + 1, f + 1)
-            if columns[e] == negated[f]:
-                raise AntiparallelElements(e + 1, f + 1)
+    pair = _pair_up_to_sign(columns)
+    if pair is not None:
+        e, f = pair
+        kind = ParallelElements if columns[e] == columns[f] else AntiparallelElements
+        raise kind(e + 1, f + 1)
 
     ts = TopeSet(t, tuple(topes))
 
@@ -143,6 +147,22 @@ def build_tope_set(
     if check_partial_cube:
         _check_partial_cube(ts)
     return ts
+
+
+def _pair_up_to_sign(vectors) -> tuple[int, int] | None:
+    """The first pair e < f with vectors[f] = +-vectors[e], or None.
+
+    First in the order of a scan over e, then f > e: the least e with a
+    partner, and its least partner. One dict pass keyed on each vector up
+    to sign finds it in linear time.
+    """
+    first: dict[tuple[int, ...], int] = {}
+    pair = None
+    for f, v in enumerate(vectors):
+        e = first.setdefault(max(v, tuple(-x for x in v)), f)
+        if e != f and (pair is None or e < pair[0]):
+            pair = (e, f)
+    return pair
 
 
 def _check_partial_cube(ts: TopeSet) -> None:

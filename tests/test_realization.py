@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, reject
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from topecom import (
@@ -32,14 +32,86 @@ CUBE = ((1, 0), (0, 1))
 HEXAGON = ((1, 0), (0, 1), (1, 1))
 
 
+# -- the full-elimination oracle: the kernel before the two-variable step and
+# Chernikov's rule, kept verbatim ------------------------------------------------
+
+def _reduced(row: tuple[int, ...]) -> tuple[int, ...]:
+    g = gcd(*row)
+    if g > 1:
+        return tuple(v // g for v in row)
+    return row
+
+
+def _eliminate(rows: set[tuple[int, ...]], j: int) -> set[tuple[int, ...]] | None:
+    """Project away variable j; None signals the contradiction 0 > 0."""
+    pos, neg = [], []
+    out: set[tuple[int, ...]] = set()
+    for r in rows:
+        c = r[j]
+        if c > 0:
+            pos.append(r)
+        elif c < 0:
+            neg.append(r)
+        else:
+            out.add(r)
+    for p in pos:
+        pj = p[j]
+        for n in neg:
+            nj = -n[j]
+            combined = _reduced(tuple(nj * pv + pj * nv for pv, nv in zip(p, n)))
+            if not any(combined):
+                return None
+            out.add(combined)
+    return out
+
+
+def fm_by_full_elimination(rows: list[tuple[int, ...]]) -> bool:
+    """Does an exact rational point satisfy every strict inequality r.x > 0?"""
+    live = {_reduced(r) for r in rows}
+    if any(not any(r) for r in live):
+        return False
+    d = len(rows[0]) if rows else 0
+    remaining = list(range(d))
+    while remaining:
+        # Cheapest projection first keeps the intermediate systems small.
+        def cost(j: int) -> int:
+            p = sum(1 for r in live if r[j] > 0)
+            n = sum(1 for r in live if r[j] < 0)
+            return p * n
+        j = min(remaining, key=cost)
+        remaining.remove(j)
+        nxt = _eliminate(live, j)
+        if nxt is None:
+            return False
+        live = nxt
+    return True
+
+
 def exhaustive_chambers(arrangement):
-    """The plain loop: every sign vector with +1 first, kept when feasible."""
+    """The plain loop: every sign vector with +1 first, kept when the
+    full-elimination oracle finds it feasible."""
     found = []
     for tail in product((1, -1), repeat=arrangement.t - 1):
         sigma = Tope((1, *tail))
-        if feasible(arrangement, sigma):
+        rows = [
+            tuple(s * v for v in normal)
+            for s, normal in zip(sigma, arrangement.primitive_normals)
+        ]
+        if fm_by_full_elimination(rows):
             found += (sigma, -sigma)
     return build_tope_set(found)
+
+
+def scalar_multiple_by_pair_scan(arrangement_normals):
+    """The plain scan over every two normals: validation's oracle."""
+    prim = [realization._primitive(tuple(map(Fraction, n))) for n in arrangement_normals]
+    for e in range(len(prim)):
+        for f in range(e + 1, len(prim)):
+            if prim[e] == prim[f]:
+                return ScalarMultiple(e + 1, f + 1, "parallel")
+            if prim[e] == tuple(-v for v in prim[f]):
+                return ScalarMultiple(e + 1, f + 1, "antiparallel")
+    return None
 
 
 def zaslavsky_count(d: int, t: int) -> int:
@@ -57,6 +129,53 @@ def small_arrangements(draw):
         return validate_arrangement(d, normals)
     except TopecomError:
         reject()
+
+
+@st.composite
+def integer_systems(draw):
+    """Strict systems r.x > 0 with the rows that trip a kernel up: zero
+    entries and rows, repeated and antiparallel rows (scaled or not), and,
+    half the time, rows oriented towards a drawn point so most are feasible.
+    """
+    d = draw(st.integers(min_value=2, max_value=5))
+    # Full elimination on 9 or more rows in 5 variables can take seconds.
+    m = draw(st.integers(min_value=1, max_value=12 if d < 5 else 8))
+    entry = st.just(0) | st.integers(min_value=-9, max_value=9)
+    rows: list[tuple[int, ...]] = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "negate")))
+        if kind == "zero":
+            rows.append((0,) * d)
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.tuples(*[entry] * d)))
+        else:
+            base = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            k = draw(st.integers(min_value=1, max_value=3))
+            k = -k if kind == "negate" else k
+            rows.append(tuple(k * v for v in base))
+    if draw(st.booleans()):
+        x = draw(st.tuples(*[st.integers(min_value=-9, max_value=9)] * d))
+        rows = [
+            r if sum(a * b for a, b in zip(r, x)) >= 0 else tuple(-v for v in r)
+            for r in rows
+        ]
+    return rows
+
+
+@st.composite
+def normals_with_planted_multiples(draw):
+    """Nonzero integer normals, some followed later by a rational multiple."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    entry = st.integers(min_value=-3, max_value=3)
+    normal = st.tuples(*[entry] * d).filter(any)
+    normals = draw(st.lists(normal, min_size=2, max_size=10))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        base = draw(st.sampled_from(normals))
+        k = draw(st.sampled_from((1, 2, 3, Fraction(1, 2), Fraction(2, 3))))
+        k = k * draw(st.sampled_from((1, -1)))
+        at = draw(st.integers(min_value=0, max_value=len(normals)))
+        normals.insert(at, tuple(k * v for v in base))
+    return d, normals
 
 
 class TestValidation:
@@ -94,6 +213,25 @@ class TestValidation:
         with pytest.raises(ScalarMultiple):
             validate_arrangement(2, ((Fraction(1, 2), Fraction(1, 3)), (3, 2)))
 
+    def test_first_pair_is_the_pair_scans(self):
+        # Two classes, the later-closing one first: the scan meets (1, 4).
+        normals = ((1, 0), (0, 1), (0, -2), (3, 0))
+        with pytest.raises(ScalarMultiple) as exc:
+            validate_arrangement(2, normals)
+        assert (exc.value.elements, exc.value.kind) == ((1, 4), "parallel")
+
+    @given(normals_with_planted_multiples())
+    def test_planted_multiples_match_the_pair_scan(self, drawn):
+        d, normals = drawn
+        want = scalar_multiple_by_pair_scan(normals)
+        if want is None:
+            validate_arrangement(d, normals)
+            return
+        with pytest.raises(ScalarMultiple) as exc:
+            validate_arrangement(d, normals)
+        assert (exc.value.elements, exc.value.kind) == (want.elements, want.kind)
+        assert str(exc.value) == str(want)
+
 
 class TestFeasibility:
     def test_hexagon_signs(self):
@@ -120,6 +258,40 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             feasible(arr, Tope.from_string("+++"))
 
+    @settings(max_examples=500, deadline=None)
+    @given(integer_systems())
+    def test_kernel_matches_full_elimination(self, rows):
+        assert realization._strictly_feasible(rows) == fm_by_full_elimination(rows)
+
+    def test_elimination_keeps_rows_of_few_inputs(self):
+        # Inputs as bitmasks. The second elimination (s = 2) drops a
+        # combination of four inputs, and of two equal rows keeps the one
+        # drawn from fewer inputs.
+        live = {(1, 0, 1): 0b0011, (-1, 0, 1): 0b1100}
+        assert realization._eliminate(live, 0, 2) == {}
+        assert realization._eliminate(live, 0, 3) == {(0, 0, 1): 0b1111}
+        live = {(0, 1, 1): 0b001, (1, 1, 0): 0b010, (-1, 0, 1): 0b100}
+        assert realization._eliminate(live, 0, 1) == {(0, 1, 1): 0b001}
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            # a = 0 rows fix the sign of y; the two signs clash
+            ([(0, 1), (0, -2)], False),
+            # least slopes 1/1 and -1/1 sum to 0: the pair cancels to 0 > 0
+            ([(1, 1), (-1, -1), (1, 3)], False),
+            # least slopes 1/2 and -1/3 sum above 0, and y > 0 is allowed
+            ([(2, 1), (-3, -1), (0, 5)], True),
+            # greatest slopes sum below 0, but a fixed sign needs y > 0
+            ([(1, -2), (-1, 1), (0, 1)], False),
+            # one side only: x alone satisfies the rows
+            ([(1, 5), (2, -7), (3, 0)], True),
+        ],
+    )
+    def test_two_variable_cases(self, rows, want):
+        assert realization._strictly_feasible(rows) is want
+        assert fm_by_full_elimination(rows) is want
+
 
 class TestChambers:
     def test_cube_and_hexagon_counts(self):
@@ -144,6 +316,19 @@ class TestChambers:
         for t in (8, 9):
             arr = random_generic_arrangement(4, t, seed=600 + t)
             assert len(chambers(arr)) == zaslavsky_count(4, t)
+
+    def test_lines_in_the_plane_cut_2t_chambers(self):
+        for t in (2, 5, 12):
+            arr = random_generic_arrangement(2, t, seed=500 + t)
+            assert len(chambers(arr)) == 2 * t
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_zaslavsky_counts_past_rank_four(self, d):
+        # Chernikov's rule keeps these under a second. Plain elimination
+        # took 38 s on a generic d = 5, t = 10 instance and more than 300 s
+        # on a d = 6 one.
+        arr = random_generic_arrangement(d, 10, seed=900 + d)
+        assert len(chambers(arr)) == zaslavsky_count(d, 10)
 
     def test_matches_exhaustive_loop_on_the_zoo(self, zoo):
         for inst in zoo:

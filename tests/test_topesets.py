@@ -1,6 +1,10 @@
 """Tope set validation, graph structure, halfspaces, reorientation, IO."""
 
+import random
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from topecom import (
     AntiparallelElements,
@@ -32,6 +36,68 @@ def topes(*strings):
 
 
 HEXAGON = topes("+++", "+-+", "+--", "---", "-+-", "-++")
+
+
+def rank2_topes(t, seed):
+    """The 2t topes of t lines in the plane, under a seeded relabelling.
+
+    A direction sweeping once round flips the lines in angular order, so
+    the topes are the prefixes (-^k, +^(t-k)), k < t, and their negatives.
+    """
+    rng = random.Random(seed)
+    order = rng.sample(range(t), t)
+    orient = [rng.choice((1, -1)) for _ in range(t)]
+    out = []
+    for k in range(t):
+        v = [0] * t
+        for pos, e in enumerate(order):
+            v[e] = (-1 if pos < k else 1) * orient[e]
+        out += (Tope(v), -Tope(v))
+    return out
+
+
+def flip_neighbors_by_tuple_flips(ts):
+    """The plain index: one tuple flip per element and member."""
+    members = ts.members
+    out = {}
+    for tope in ts.topes:
+        nbrs = {}
+        for e in range(1, ts.t + 1):
+            flipped = tope.flip(e)
+            if flipped in members:
+                nbrs[e] = flipped
+        out[tope] = nbrs
+    return out
+
+
+def column_clash_by_pair_scan(vectors):
+    """The plain scan over every two columns: validation's oracle."""
+    columns = list(zip(*vectors))
+    negated = [tuple(-v for v in col) for col in columns]
+    for e in range(len(columns)):
+        for f in range(e + 1, len(columns)):
+            if columns[e] == columns[f]:
+                return ParallelElements(e + 1, f + 1)
+            if columns[e] == negated[f]:
+                return AntiparallelElements(e + 1, f + 1)
+    return None
+
+
+@st.composite
+def symmetric_sets_with_planted_columns(draw):
+    """Centrally symmetric sign-vector sets, some columns copied or negated."""
+    t = draw(st.integers(min_value=2, max_value=6))
+    half = draw(
+        st.lists(st.tuples(*[st.sampled_from((1, -1))] * t), min_size=2, max_size=8)
+    )
+    columns = [list(col) for col in zip(*half)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        col = draw(st.sampled_from(columns))
+        sign = draw(st.sampled_from((1, -1)))
+        at = draw(st.integers(min_value=0, max_value=len(columns)))
+        columns.insert(at, [sign * v for v in col])
+    rows = [Tope(row) for row in zip(*columns)]
+    return rows + [-row for row in rows]
 
 
 class TestBuildValidation:
@@ -75,6 +141,29 @@ class TestBuildValidation:
     def test_duplicates_are_collapsed(self):
         ts = build_tope_set(HEXAGON + HEXAGON)
         assert len(ts) == 6
+
+    def test_first_column_pair_is_the_pair_scans(self):
+        # Columns 2 = -3 and 1 = 4: the scan meets (1, 4) first.
+        with pytest.raises(ParallelElements) as exc:
+            build_tope_set(topes("++-+", "+-++", "--+-", "-+--"))
+        assert exc.value.elements == (1, 4)
+
+    @given(symmetric_sets_with_planted_columns())
+    def test_planted_columns_match_the_pair_scan(self, vectors):
+        # Fewer than four distinct topes stop validation before the columns.
+        assume(len(set(vectors)) >= 4)
+        want = column_clash_by_pair_scan(vectors)
+        try:
+            build_tope_set(vectors)
+        except (ParallelElements, AntiparallelElements) as exc:
+            assert type(exc) is type(want)
+            assert exc.elements == want.elements
+            assert str(exc) == str(want)
+        except Disconnected:
+            # The graph is walked only once the columns pass.
+            assert want is None
+        else:
+            assert want is None
 
     def test_hexagon_builds(self):
         ts = build_tope_set(HEXAGON)
@@ -128,6 +217,26 @@ class TestGraph:
         ts.require(Tope.from_string("+++"))
         with pytest.raises(NotInTopeSet):
             ts.require(Tope.from_string("++-"), "test")
+
+    @staticmethod
+    def _ordered(index):
+        return [(tope, list(nbrs.items())) for tope, nbrs in index.items()]
+
+    def test_flip_index_matches_tuple_flips_on_the_zoo(self, zoo):
+        for inst in zoo:
+            ts = inst.tope_set
+            assert self._ordered(ts.flip_neighbors) == self._ordered(
+                flip_neighbors_by_tuple_flips(ts)
+            )
+
+    @pytest.mark.parametrize("t", [2, 3, 17, 64])
+    def test_flip_index_matches_tuple_flips_in_rank_2(self, t):
+        ts = build_tope_set(rank2_topes(t, seed=t))
+        assert len(ts) == 2 * t
+        assert self._ordered(ts.flip_neighbors) == self._ordered(
+            flip_neighbors_by_tuple_flips(ts)
+        )
+        assert all(len(nbrs) == 2 for nbrs in ts.flip_neighbors.values())
 
     def test_flip_neighbors_match_edges(self):
         ts = build_tope_set(HEXAGON)
