@@ -24,12 +24,7 @@ from pathlib import Path
 from topecom.decomposition import bareiss_determinant
 from topecom.errors import TopecomError
 from topecom.fixtures import _CYCLE_LISTINGS
-from topecom.realization import (
-    chambers,
-    feasible,
-    format_arrangement_text,
-    validate_arrangement,
-)
+from topecom.realization import chambers, format_arrangement_text, validate_arrangement
 from topecom.signs import positive_tope
 from topecom.topesets import format_topes_text
 
@@ -60,9 +55,9 @@ def search():
                 continue
             if not generic(normals):
                 continue
-            if not all(feasible(arr, tp) for tp in REQUIRED):
-                continue
             tope_set = chambers(arr)
+            if not all(tp in tope_set for tp in REQUIRED):
+                continue
             if len(tope_set) != 22:
                 continue
             return arr, tope_set

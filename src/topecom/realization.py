@@ -5,20 +5,26 @@ vector of a point records on which side of each hyperplane it lies; the
 chambers (open regions) of the arrangement realize the topes of a simple
 oriented structure once no normal is zero and no two are proportional.
 
-Feasibility of a sign vector is decided exactly: the strict homogeneous
-system sigma_e <a_e, x> > 0 goes through Fourier-Motzkin elimination over
-integers (strict + strict stays strict), and infeasibility shows up as the
-derivation of the contradiction 0 > 0. Two devices keep the elimination
-small. Chernikov's rule (Chernikov 1965; Kohler 1967) drops each combined
-row drawn from more inputs than one plus the number of variables eliminated,
-as the rows kept imply it. And elimination stops at two variables: the
-two-variable step then needs only the extreme slopes on each side of the
-next variable, found in one pass, where a last elimination pairs every row.
+Chambers are enumerated from cocircuits (Bjorner, Las Vergnas, Sturmfels,
+White & Ziegler, *Oriented Matroids*, 1993, ch. 3-4), in integer arithmetic
+only. Let r be the rank of the normals. Keeping r independent columns of
+them keeps the column space, so the sign vectors sign(a_e . x) do not
+change, and the kept normals span R^r. Then no nonzero x lies on every
+hyperplane, so the closure of each chamber is a pointed cone. A pointed cone
+of dimension r >= 2 is spanned by its extreme rays, so it has one, v: a ray
+on which boundary hyperplanes of rank r - 1 meet. The sign vector Y of v is
+a cocircuit, and its zero set Z, the hyperplanes through v, is a flat of
+rank r - 1. Near v only the hyperplanes of Z cut space, so the chambers with
+v on their boundary are Y filled in on Z by each chamber of the
+subarrangement Z, found the same way one rank down and memoised on Z. When
+|Z| = r - 1 those are all 2^(r-1) sign patterns; no two normals are
+parallel, so this covers rank 1.
 
-Chambers are enumerated by inserting the planes one at a time: each chamber
-of the first k planes is split by plane k+1 into its nonempty sides, found
-with at most two such tests per chamber. The work therefore grows with the
-number of chambers, not with the 2^(t-1) candidate sign vectors.
+Each independent (r - 1)-subset S of the normals spans one flat Z, whose
+line v is given by the signed (r - 1)-minors of S. A subset inside a flat
+already found spans that flat or is dependent, so it is skipped before any
+minor is taken. The work is at most C(t, r - 1) subset visits, plus O(t r)
+per flat.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import BadDimension, ScalarMultiple, SizeBoundExceeded, ZeroNormal
 from .signs import Tope
@@ -44,14 +52,19 @@ __all__ = [
     "write_arrangement_file",
 ]
 
-# Measured `chambers` time on generic arrangements with integer normals in
-# [-9, 9], Python 3.11 on a shared 2-vCPU Xeon VM. Best of 3, seeds 1-3:
-# d3 t=12 0.02 s, t=13 0.03 s; d4 t=12 and t=13 0.13 s. Seed 1 at t=12,
-# over two sweeps: d5 0.3-0.5 s, d6 0.6-0.9 s, d8 1.2-2.0 s, d10 1.7-1.9 s,
-# d12 1.6-2.0 s, and d14, d16, d20 (one run each) 2.0-2.4 s. With at most
-# 2^(t-1) chambers and Chernikov's rule in every rank, this bound on t
-# keeps every d within seconds.
-ENUMERATION_BOUND = 12
+# 2^12, the most chambers of any t <= 12 arrangement. Measured `chambers`
+# (Python 3.11, shared 2-vCPU Xeon VM, best of 3) on moment-curve normals
+# (1, k, k^2, ...), k < t: d3 t=64 (4034 chambers) 0.40 s, d4 t=24 (4096)
+# 0.12 s, d5 t=16 0.13 s, d8 t=12 0.13 s, d12 t=12 0.06 s. Refusal stops at
+# the 4097th chamber: d3 t=65 0.14 s, d4 t=25 0.09 s.
+CHAMBER_LIMIT = 4096
+
+# C(t, r - 1) subsets in rank r, at least C(12, 6) = 924. Measured as above
+# on near-pencils (t - 1 planes through a line, one across), where the time
+# grows as t^2: t=400 (79800 pairs) 0.7 s, t=512 (130816 pairs, 2044
+# chambers) 1.5 s, t=1024 5.1 s. Rank 4, t - 2 planes through a line and
+# two more: t=93 (129766 triples) 0.15 s.
+SUBSET_LIMIT = 1 << 17
 
 RationalVector = tuple[Fraction, ...]
 
@@ -106,170 +119,147 @@ def validate_arrangement(d: int, normals) -> Arrangement:
     return Arrangement(d, tuple(rows))
 
 
-# -- strict feasibility by Fourier-Motzkin ------------------------------------
+# -- chambers from cocircuits ------------------------------------------------
 
-def _reduced(row: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*row)
-    if g > 1:
-        return tuple(v // g for v in row)
-    return row
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row echelon form and its pivot columns.
 
-
-def _eliminate(
-    live: dict[tuple[int, ...], int], j: int, s: int
-) -> dict[tuple[int, ...], int] | None:
-    """Project away variable j as the s-th elimination; None signals 0 > 0.
-
-    Each row maps to the set of input rows it combines, as a bitmask (bit i
-    for input i). Chernikov's rule drops a combination of more than s + 1
-    inputs: the rows kept imply it. Of two equal rows the one with fewer
-    inputs stays.
+    Each entry stays a minor of ``rows``, so every division is exact.
     """
-    pos, neg = [], []
-    out: dict[tuple[int, ...], int] = {}
-    for r, inputs in live.items():
-        c = r[j]
-        if c > 0:
-            pos.append((r, inputs))
-        elif c < 0:
-            neg.append((r, inputs))
-        else:
-            out[r] = inputs
-    for p, p_inputs in pos:
-        pj = p[j]
-        for n, n_inputs in neg:
-            inputs = p_inputs | n_inputs
-            size = inputs.bit_count()
-            if size > s + 1:
-                continue
-            nj = -n[j]
-            combined = _reduced(tuple(nj * pv + pj * nv for pv, nv in zip(p, n)))
-            if not any(combined):
-                return None
-            kept = out.get(combined)
-            if kept is None or size < kept.bit_count():
-                out[combined] = inputs
-    return out
-
-
-def _two_variable(rows, j: int, k: int) -> bool:
-    """Decide r_j x + r_k y > 0 for nonzero rows in x, y in one pass.
-
-    Eliminating x pairs a row (a, b), a > 0, with a row (a', b'), a' < 0,
-    into a y-coefficient of the sign of b/a + b'/(-a'); a row with a = 0
-    fixes the sign of y. So some y works exactly when the least slopes of
-    the two sides sum above 0, or the greatest below 0, and agrees with
-    every fixed sign. Slopes compare by integer cross-multiplication.
-    """
-    y_sign = 0
-    # Per side (a > 0, a < 0): least and greatest slope b/|a| as (b, |a|).
-    lo: list[tuple[int, int] | None] = [None, None]
-    hi: list[tuple[int, int] | None] = [None, None]
-    for r in rows:
-        a, b = r[j], r[k]
-        if a == 0:
-            # b != 0: every other entry of the row is 0 and the row is not.
-            sign = 1 if b > 0 else -1
-            if y_sign == -sign:
-                return False
-            y_sign = sign
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for j in range(len(a[0])):
+        k = len(pivots)
+        p = next((i for i in range(k, len(a)) if a[i][j]), None)
+        if p is None:
             continue
-        side = 0 if a > 0 else 1
-        a = abs(a)
-        least = lo[side]
-        if least is None:
-            lo[side] = hi[side] = (b, a)
-        elif b * least[1] < least[0] * a:
-            lo[side] = (b, a)
-        elif b * hi[side][1] > hi[side][0] * a:
-            hi[side] = (b, a)
-    if lo[0] is None or lo[1] is None:
-        return True
-    (pb, pa), (nb, na) = lo
-    if pb * na + nb * pa > 0 and y_sign >= 0:
-        return True
-    (pb, pa), (nb, na) = hi
-    return pb * na + nb * pa < 0 and y_sign <= 0
+        a[k], a[p] = a[p], a[k]
+        top = a[k]
+        piv = top[j]
+        for row in a[k + 1:]:
+            c = row[j]
+            for m in range(j, len(top)):
+                row[m] = (row[m] * piv - c * top[m]) // prev
+        prev = piv
+        pivots.append(j)
+        if len(pivots) == len(a):
+            break
+    return a, pivots
 
 
-def _strictly_feasible(rows: list[tuple[int, ...]]) -> bool:
-    """Does an exact rational point satisfy every strict inequality r.x > 0?
+def _kernel(rows) -> list[int] | None:
+    """A nonzero integer vector orthogonal to r - 1 rows of length r.
 
-    Takes one or more rows of d >= 2 integers. Fourier-Motzkin eliminates
-    all but two variables, then :func:`_two_variable` decides the rest.
+    None when the rows are dependent. Otherwise this is the vector of signed
+    (r - 1)-minors up to sign: the free entry is the last pivot, which is
+    +-det of the pivot columns, so back substitution divides exactly.
     """
-    live: dict[tuple[int, ...], int] = {}
-    for i, r in enumerate(rows):
-        r = _reduced(r)
-        if not any(r):
-            return False
-        live.setdefault(r, 1 << i)
-    remaining = list(range(len(rows[0])))
-    s = 0
-    while len(remaining) > 2:
-        # Cheapest projection first keeps the intermediate systems small.
-        def cost(j: int) -> int:
-            p = sum(1 for r in live if r[j] > 0)
-            n = sum(1 for r in live if r[j] < 0)
-            return p * n
-        j = min(remaining, key=cost)
-        remaining.remove(j)
-        s += 1
-        nxt = _eliminate(live, j, s)
-        if nxt is None:
-            return False
-        live = nxt
-    return _two_variable(live, *remaining)
+    a, pivots = _echelon(rows)
+    if len(pivots) < len(a):
+        return None
+    x = [0] * len(a[0])
+    free = next(j for j in range(len(x)) if j not in pivots)
+    x[free] = a[-1][pivots[-1]]
+    for row, p in zip(reversed(a), reversed(pivots)):
+        x[p] = -sum(map(mul, row, x)) // row[p]
+    return x
+
+
+def _too_many_chambers(t: int) -> SizeBoundExceeded:
+    msg = (
+        f"t = {t} hyperplanes cut more than {CHAMBER_LIMIT} chambers, "
+        "the chamber-enumeration limit"
+    )
+    return SizeBoundExceeded(CHAMBER_LIMIT + 1, CHAMBER_LIMIT, msg)
+
+
+def chambers(arrangement: Arrangement) -> TopeSet:
+    """Enumerate all chambers into a validated tope set, from cocircuits.
+
+    More than ``CHAMBER_LIMIT`` chambers, or more than ``SUBSET_LIMIT``
+    subsets to try, raise :class:`SizeBoundExceeded`; enumeration stops as
+    soon as the chamber limit is passed.
+    """
+    t = arrangement.t
+    normals = arrangement.primitive_normals
+    rank = len(_echelon(normals)[1])
+    if 1 << rank > CHAMBER_LIMIT:
+        # r independent normals alone cut 2^r chambers.
+        raise _too_many_chambers(t)
+    subsets = comb(t, rank - 1)
+    if subsets > SUBSET_LIMIT:
+        msg = (
+            f"t = {t} hyperplanes of rank {rank} need C({t}, {rank - 1}) = "
+            f"{subsets} cocircuit subsets, past the limit {SUBSET_LIMIT}"
+        )
+        raise SizeBoundExceeded(subsets, SUBSET_LIMIT, msg)
+    memo: dict[tuple[int, ...], set[int]] = {}
+
+    def topes(elements: tuple[int, ...]) -> set[int]:
+        """The chambers of the normals in ``elements``, each as the bitmask
+        of its + elements."""
+        if elements in memo:
+            return memo[elements]
+        # r independent columns, r the rank: the same chambers.
+        pivots = _echelon([normals[e] for e in elements])[1]
+        rows = [tuple(normals[e][j] for j in pivots) for e in elements]
+        r = len(pivots)
+        found: set[int] = set()
+        member = [0] * len(elements)  # bit k: the element lies in flat k
+        flat = 1
+        for subset in combinations(range(len(elements)), r - 1):
+            common = member[subset[0]]
+            for i in subset[1:]:
+                common &= member[i]
+            if common:
+                continue
+            v = _kernel([rows[i] for i in subset])
+            if v is None:
+                continue
+            plus = minus = 0
+            zero = []
+            for i, (e, row) in enumerate(zip(elements, rows)):
+                s = sum(map(mul, row, v))
+                if s > 0:
+                    plus |= 1 << e
+                elif s < 0:
+                    minus |= 1 << e
+                else:
+                    zero.append(e)
+                    member[i] |= flat
+            flat <<= 1
+            if len(zero) == r - 1:
+                fills = [0]
+                for e in zero:
+                    fills += [f | 1 << e for f in fills]
+            else:
+                fills = topes(tuple(zero))
+            for fill in fills:
+                found.add(plus | fill)
+                found.add(minus | fill)
+            if len(found) > CHAMBER_LIMIT:
+                raise _too_many_chambers(t)
+        memo[elements] = found
+        return found
+
+    return build_tope_set(
+        Tope(1 if m >> e & 1 else -1 for e in range(t))
+        for m in topes(tuple(range(t)))
+    )
 
 
 def feasible(arrangement: Arrangement, sigma: Tope) -> bool:
-    """True when some point realizes the sign vector strictly."""
+    """True when some point realizes the sign vector strictly.
+
+    An exact membership test in :func:`chambers`, so it raises
+    :class:`SizeBoundExceeded` past the chamber or subset limit too.
+    """
     if len(sigma) != arrangement.t:
         raise ValueError(
             f"sign vector has {len(sigma)} entries, arrangement has t = {arrangement.t}"
         )
-    rows = [
-        tuple(s * v for v in normal)
-        for s, normal in zip(sigma, arrangement.primitive_normals)
-    ]
-    return _strictly_feasible(rows)
-
-
-def chambers(arrangement: Arrangement) -> TopeSet:
-    """Enumerate all chambers into a validated tope set, one plane at a time.
-
-    Central symmetry halves the work: only chambers with +1 first entry are
-    built, and each contributes its negation too. Each chamber of planes
-    1..k is kept as its sign prefix and signed integer rows; plane k+1 keeps
-    the sides of it that pass :func:`_strictly_feasible`. More than
-    ``ENUMERATION_BOUND`` elements are refused.
-    """
-    t = arrangement.t
-    if t > ENUMERATION_BOUND:
-        msg = f"t = {t} elements exceed the chamber-enumeration bound {ENUMERATION_BOUND}"
-        raise SizeBoundExceeded(t, ENUMERATION_BOUND, msg)
-    first, *rest = arrangement.primitive_normals
-    cells = [((1,), [first])]
-    for a in rest:
-        minus_a = tuple(-v for v in a)
-        split = []
-        for signs, rows in cells:
-            plus, minus = rows + [a], rows + [minus_a]
-            if not _strictly_feasible(plus):
-                # The - side needs no test: an open nonempty cell cannot lie
-                # inside the hyperplane a.x = 0 (a != 0), so it is all - side.
-                split.append((signs + (-1,), minus))
-                continue
-            split.append((signs + (1,), plus))
-            if _strictly_feasible(minus):
-                split.append((signs + (-1,), minus))
-        cells = split
-    found: list[Tope] = []
-    for signs, _ in cells:
-        sigma = Tope(signs)
-        found.append(sigma)
-        found.append(-sigma)
-    return build_tope_set(found)
+    return sigma in chambers(arrangement)
 
 
 # -- plain-text serialization -------------------------------------------------

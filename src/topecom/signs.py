@@ -48,9 +48,10 @@ class Tope(tuple):
     @classmethod
     def from_string(cls, text: str) -> "Tope":
         """Parse a '+'/'-' string; inverse of :func:`str`."""
-        if not text or any(c not in "+-" for c in text):
+        if not text or text.strip("+-"):
             raise ValueError(f"not a tope string: {text!r}")
-        return cls(1 if c == "+" else -1 for c in text)
+        # Every entry is +-1 by the check above, so skip the checks in __new__.
+        return tuple.__new__(cls, [1 if c == "+" else -1 for c in text])
 
     @property
     def entries(self) -> tuple[int, ...]:

@@ -154,12 +154,25 @@ class TestChambers:
     def test_size_bound_names_t(self, capsys, tmp_path):
         arr = tmp_path / "big.arr"
         write_arrangement_file(
-            arr, validate_arrangement(3, [(1, k, k * k) for k in range(13)])
+            arr, validate_arrangement(4, [(1, k, k * k, k**3) for k in range(25)])
         )
         code, out, err = run(capsys, "chambers", "--arr", str(arr))
         assert code == 1
         assert out == ""
-        assert err == "error: t = 13 elements exceed the chamber-enumeration bound 12\n"
+        assert err == (
+            "error: t = 25 hyperplanes cut more than 4096 chambers, "
+            "the chamber-enumeration limit\n"
+        )
+
+    def test_thirteen_planes_enumerate(self, capsys, tmp_path):
+        # Refused while the bound was on t; 13 * 12 + 2 chambers.
+        arr = tmp_path / "t13.arr"
+        write_arrangement_file(
+            arr, validate_arrangement(3, [(1, k, k * k) for k in range(13)])
+        )
+        code, out, err = run(capsys, "chambers", "--arr", str(arr))
+        assert (code, err) == (0, "")
+        assert sum(line.startswith(("+", "-")) for line in out.splitlines()) == 158
 
     def test_json_count(self, capsys, demo_arr_path):
         code, out, _ = run(capsys, "chambers", "--arr", demo_arr_path, "--format", "json")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, reject, settings
@@ -32,8 +33,8 @@ CUBE = ((1, 0), (0, 1))
 HEXAGON = ((1, 0), (0, 1), (1, 1))
 
 
-# -- the full-elimination oracle: the kernel before the two-variable step and
-# Chernikov's rule, kept verbatim ------------------------------------------------
+# -- the full-elimination oracle: Fourier-Motzkin before the two-variable step
+# and Chernikov's rule -----------------------------------------------------------
 
 def _reduced(row: tuple[int, ...]) -> tuple[int, ...]:
     g = gcd(*row)
@@ -42,7 +43,7 @@ def _reduced(row: tuple[int, ...]) -> tuple[int, ...]:
     return row
 
 
-def _eliminate(rows: set[tuple[int, ...]], j: int) -> set[tuple[int, ...]] | None:
+def _eliminate_all(rows: set[tuple[int, ...]], j: int) -> set[tuple[int, ...]] | None:
     """Project away variable j; None signals the contradiction 0 > 0."""
     pos, neg = [], []
     out: set[tuple[int, ...]] = set()
@@ -80,11 +81,121 @@ def fm_by_full_elimination(rows: list[tuple[int, ...]]) -> bool:
             return p * n
         j = min(remaining, key=cost)
         remaining.remove(j)
-        nxt = _eliminate(live, j)
+        nxt = _eliminate_all(live, j)
         if nxt is None:
             return False
         live = nxt
     return True
+
+
+# -- the Fourier-Motzkin kernel that `chambers` ran before cocircuits: it stops
+# at two variables and applies Chernikov's rule --------------------------------
+
+def _eliminate(
+    live: dict[tuple[int, ...], int], j: int, s: int
+) -> dict[tuple[int, ...], int] | None:
+    """Project away variable j as the s-th elimination; None signals 0 > 0.
+
+    Each row maps to the set of input rows it combines, as a bitmask (bit i
+    for input i). Chernikov's rule (Chernikov 1965; Kohler 1967) drops a
+    combination of more than s + 1 inputs: the rows kept imply it. Of two
+    equal rows the one with fewer inputs stays.
+    """
+    pos, neg = [], []
+    out: dict[tuple[int, ...], int] = {}
+    for r, inputs in live.items():
+        c = r[j]
+        if c > 0:
+            pos.append((r, inputs))
+        elif c < 0:
+            neg.append((r, inputs))
+        else:
+            out[r] = inputs
+    for p, p_inputs in pos:
+        pj = p[j]
+        for n, n_inputs in neg:
+            inputs = p_inputs | n_inputs
+            size = inputs.bit_count()
+            if size > s + 1:
+                continue
+            nj = -n[j]
+            combined = _reduced(tuple(nj * pv + pj * nv for pv, nv in zip(p, n)))
+            if not any(combined):
+                return None
+            kept = out.get(combined)
+            if kept is None or size < kept.bit_count():
+                out[combined] = inputs
+    return out
+
+
+def _two_variable(rows, j: int, k: int) -> bool:
+    """Decide r_j x + r_k y > 0 for nonzero rows in x, y in one pass.
+
+    Eliminating x pairs a row (a, b), a > 0, with a row (a', b'), a' < 0,
+    into a y-coefficient of the sign of b/a + b'/(-a'); a row with a = 0
+    fixes the sign of y. So some y works exactly when the least slopes of
+    the two sides sum above 0, or the greatest below 0, and agrees with
+    every fixed sign. Slopes compare by integer cross-multiplication.
+    """
+    y_sign = 0
+    # Per side (a > 0, a < 0): least and greatest slope b/|a| as (b, |a|).
+    lo: list[tuple[int, int] | None] = [None, None]
+    hi: list[tuple[int, int] | None] = [None, None]
+    for r in rows:
+        a, b = r[j], r[k]
+        if a == 0:
+            # b != 0: every other entry of the row is 0 and the row is not.
+            sign = 1 if b > 0 else -1
+            if y_sign == -sign:
+                return False
+            y_sign = sign
+            continue
+        side = 0 if a > 0 else 1
+        a = abs(a)
+        least = lo[side]
+        if least is None:
+            lo[side] = hi[side] = (b, a)
+        elif b * least[1] < least[0] * a:
+            lo[side] = (b, a)
+        elif b * hi[side][1] > hi[side][0] * a:
+            hi[side] = (b, a)
+    if lo[0] is None or lo[1] is None:
+        return True
+    (pb, pa), (nb, na) = lo
+    if pb * na + nb * pa > 0 and y_sign >= 0:
+        return True
+    (pb, pa), (nb, na) = hi
+    return pb * na + nb * pa < 0 and y_sign <= 0
+
+
+def _strictly_feasible(rows: list[tuple[int, ...]]) -> bool:
+    """Does an exact rational point satisfy every strict inequality r.x > 0?
+
+    Takes one or more rows of d >= 2 integers. Fourier-Motzkin eliminates
+    all but two variables, then :func:`_two_variable` decides the rest.
+    """
+    live: dict[tuple[int, ...], int] = {}
+    for i, r in enumerate(rows):
+        r = _reduced(r)
+        if not any(r):
+            return False
+        live.setdefault(r, 1 << i)
+    remaining = list(range(len(rows[0])))
+    s = 0
+    while len(remaining) > 2:
+        # Cheapest projection first keeps the intermediate systems small.
+        def cost(j: int) -> int:
+            p = sum(1 for r in live if r[j] > 0)
+            n = sum(1 for r in live if r[j] < 0)
+            return p * n
+        j = min(remaining, key=cost)
+        remaining.remove(j)
+        s += 1
+        nxt = _eliminate(live, j, s)
+        if nxt is None:
+            return False
+        live = nxt
+    return _two_variable(live, *remaining)
 
 
 def exhaustive_chambers(arrangement):
@@ -119,6 +230,31 @@ def zaslavsky_count(d: int, t: int) -> int:
     return 2 * sum(comb(t - 1, i) for i in range(d))
 
 
+def moment_curve(d: int, t: int) -> list[tuple[int, ...]]:
+    """Normals (1, k, k^2, ...), k < t: Vandermonde, so every d independent."""
+    return [tuple(k**i for i in range(d)) for k in range(t)]
+
+
+def near_pencil(t: int) -> list[tuple[int, ...]]:
+    """Rank 3: t - 1 planes through the z-axis, then the plane z = 0."""
+    return [(1, k, 0) for k in range(t - 1)] + [(0, 0, 1)]
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record what each call of the cocircuit kernel returns: one call per
+    subset tried, None for a dependent one."""
+    found = []
+    inner = realization._kernel
+
+    def counting(rows):
+        v = inner(rows)
+        found.append(v)
+        return v
+
+    monkeypatch.setattr(realization, "_kernel", counting)
+    return found
+
+
 @st.composite
 def small_arrangements(draw):
     """Small integer arrangements, degenerate ones included."""
@@ -127,6 +263,20 @@ def small_arrangements(draw):
     normals = draw(st.lists(st.tuples(*[entry] * d), min_size=2, max_size=6))
     try:
         return validate_arrangement(d, normals)
+    except TopecomError:
+        reject()
+
+
+@st.composite
+def rank_deficient_arrangements(draw):
+    """Integer arrangements in up to 6 coordinates, the trailing ones all 0:
+    rank below d, so the column reduction drops columns."""
+    d = draw(st.integers(min_value=3, max_value=6))
+    k = draw(st.integers(min_value=2, max_value=d - 1))
+    entry = st.integers(min_value=-2, max_value=2)
+    normals = draw(st.lists(st.tuples(*[entry] * k), min_size=2, max_size=9))
+    try:
+        return validate_arrangement(d, [n + (0,) * (d - k) for n in normals])
     except TopecomError:
         reject()
 
@@ -245,13 +395,17 @@ class TestFeasibility:
             sigma = Tope(entries)
             assert feasible(arr, sigma) == feasible(arr, -sigma)
 
-    def test_matches_chamber_listing(self):
-        for normals in (CUBE, HEXAGON):
-            arr = validate_arrangement(2, normals)
+    def test_matches_chamber_listing(self, demo):
+        cube, hexagon = (validate_arrangement(2, n) for n in (CUBE, HEXAGON))
+        for arr in (cube, hexagon, demo.arrangement):
             listed = chambers(arr)
             for entries in product((1, -1), repeat=arr.t):
                 sigma = Tope(entries)
-                assert feasible(arr, sigma) == (sigma in listed)
+                rows = [
+                    tuple(s * v for v in normal)
+                    for s, normal in zip(sigma, arr.primitive_normals)
+                ]
+                assert feasible(arr, sigma) == (sigma in listed) == _strictly_feasible(rows)
 
     def test_wrong_length(self):
         arr = validate_arrangement(2, CUBE)
@@ -261,17 +415,17 @@ class TestFeasibility:
     @settings(max_examples=500, deadline=None)
     @given(integer_systems())
     def test_kernel_matches_full_elimination(self, rows):
-        assert realization._strictly_feasible(rows) == fm_by_full_elimination(rows)
+        assert _strictly_feasible(rows) == fm_by_full_elimination(rows)
 
     def test_elimination_keeps_rows_of_few_inputs(self):
         # Inputs as bitmasks. The second elimination (s = 2) drops a
         # combination of four inputs, and of two equal rows keeps the one
         # drawn from fewer inputs.
         live = {(1, 0, 1): 0b0011, (-1, 0, 1): 0b1100}
-        assert realization._eliminate(live, 0, 2) == {}
-        assert realization._eliminate(live, 0, 3) == {(0, 0, 1): 0b1111}
+        assert _eliminate(live, 0, 2) == {}
+        assert _eliminate(live, 0, 3) == {(0, 0, 1): 0b1111}
         live = {(0, 1, 1): 0b001, (1, 1, 0): 0b010, (-1, 0, 1): 0b100}
-        assert realization._eliminate(live, 0, 1) == {(0, 1, 1): 0b001}
+        assert _eliminate(live, 0, 1) == {(0, 1, 1): 0b001}
 
     @pytest.mark.parametrize(
         "rows, want",
@@ -289,7 +443,7 @@ class TestFeasibility:
         ],
     )
     def test_two_variable_cases(self, rows, want):
-        assert realization._strictly_feasible(rows) is want
+        assert _strictly_feasible(rows) is want
         assert fm_by_full_elimination(rows) is want
 
 
@@ -324,11 +478,24 @@ class TestChambers:
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_zaslavsky_counts_past_rank_four(self, d):
-        # Chernikov's rule keeps these under a second. Plain elimination
-        # took 38 s on a generic d = 5, t = 10 instance and more than 300 s
-        # on a d = 6 one.
+        # Fourier-Motzkin with plain elimination took 38 s on a generic
+        # d = 5, t = 10 instance and more than 300 s on a d = 6 one.
         arr = random_generic_arrangement(d, 10, seed=900 + d)
         assert len(chambers(arr)) == zaslavsky_count(d, 10)
+
+    def test_zaslavsky_count_past_twelve_planes(self):
+        arr = validate_arrangement(3, moment_curve(3, 16))
+        assert len(chambers(arr)) == zaslavsky_count(3, 16) == 242
+
+    def test_near_pencil_cuts_4_t_minus_1_chambers(self, monkeypatch):
+        # t - 1 planes through one line and one plane across it. The pencil
+        # is one flat: its first pair finds it and its other pairs are
+        # skipped, so the kernel runs once per flat, 2t - 1 times in all
+        # (t at the top, t - 1 inside the pencil), not C(t, 2) times.
+        calls = count_kernel_calls(monkeypatch)
+        t = 40
+        assert len(chambers(validate_arrangement(3, near_pencil(t)))) == 4 * (t - 1)
+        assert len(calls) == 2 * t - 1
 
     def test_matches_exhaustive_loop_on_the_zoo(self, zoo):
         for inst in zoo:
@@ -344,38 +511,86 @@ class TestChambers:
     def test_matches_exhaustive_loop_off_general_position(self, arr):
         assert chambers(arr) == exhaustive_chambers(arr)
 
-    def test_feasibility_tests_follow_the_chamber_count(self, monkeypatch):
-        # Adding plane k+1 tests each of the C(k, 2) + 1 chambers of the
-        # first k planes (those with +1 first) at most twice.
-        calls = 0
-        inner = realization._strictly_feasible
+    @settings(max_examples=100, deadline=None)
+    @given(rank_deficient_arrangements())
+    def test_matches_exhaustive_loop_below_full_rank(self, arr):
+        assert chambers(arr) == exhaustive_chambers(arr)
 
-        def counting(rows):
-            nonlocal calls
-            calls += 1
-            return inner(rows)
+    def test_cocircuits_follow_the_binomials(self, monkeypatch):
+        # Generic rank d: no subset lies inside an earlier flat, so each of
+        # the C(t, d - 1) subsets runs the kernel once, each finds a new
+        # cocircuit pair +-Y, and no flat needs a recursion.
+        calls = count_kernel_calls(monkeypatch)
+        d, t = 4, 11
+        arr = random_generic_arrangement(d, t, seed=811)
+        assert len(chambers(arr)) == zaslavsky_count(d, t)
+        assert len(calls) <= comb(t, d - 1)
+        cocircuits = set()
+        for v in filter(None, calls):
+            Y = tuple(
+                (s > 0) - (s < 0)
+                for s in (sum(map(mul, a, v)) for a in arr.primitive_normals)
+            )
+            cocircuits |= {Y, tuple(-y for y in Y)}
+        assert len(cocircuits) == 2 * comb(t, d - 1)
 
-        monkeypatch.setattr(realization, "_strictly_feasible", counting)
-        t = 11
-        chambers(random_generic_arrangement(3, t, seed=811))
-        assert calls <= 2 * sum(comb(k, 2) + 1 for k in range(1, t))
-        assert calls < 2 ** (t - 1)
+    def test_kernel_is_orthogonal_and_exact(self):
+        systems = (
+            ((1, 2),),
+            ((2, 0, 1), (0, 3, 5)),
+            ((0, 2, 1), (4, 0, 6)),
+            ((1, 1, 0, 2), (0, 2, 1, 1), (3, 0, 0, 1)),
+        )
+        for rows in systems:
+            v = realization._kernel(rows)
+            assert any(v)
+            assert all(sum(map(mul, row, v)) == 0 for row in rows)
+        assert realization._kernel(((1, 2, 3), (2, 4, 6))) is None
 
     def test_result_is_acyclic_for_first_orthant_arrangements(self):
         # all-positive interior points exist for these normals
         assert is_acyclic(chambers(validate_arrangement(2, HEXAGON)))
 
+    def test_chamber_limit_is_met_exactly(self):
+        # 2 * (1 + 23 + 253 + 1771) = 4096 chambers: the limit, accepted.
+        arr = validate_arrangement(4, moment_curve(4, 24))
+        assert len(chambers(arr)) == zaslavsky_count(4, 24) == realization.CHAMBER_LIMIT
+
     def test_size_bound(self):
-        arr = random_generic_arrangement(3, 13, seed=7)
+        # 4650 chambers, one plane past the limit.
+        arr = validate_arrangement(4, moment_curve(4, 25))
         with pytest.raises(SizeBoundExceeded):
             chambers(arr)
 
     def test_size_bound_names_t_and_the_enumeration_bound(self):
-        arr = random_generic_arrangement(3, 13, seed=7)
+        arr = validate_arrangement(4, moment_curve(4, 25))
         with pytest.raises(SizeBoundExceeded) as exc:
             chambers(arr)
-        assert (exc.value.size, exc.value.bound) == (13, 12)
-        assert str(exc.value) == "t = 13 elements exceed the chamber-enumeration bound 12"
+        assert exc.value.bound == 4096
+        assert str(exc.value) == (
+            "t = 25 hyperplanes cut more than 4096 chambers, "
+            "the chamber-enumeration limit"
+        )
+
+    def test_rank_past_twelve_is_refused_before_enumerating(self, monkeypatch):
+        # 13 independent normals cut 2^13 chambers.
+        calls = count_kernel_calls(monkeypatch)
+        unit = [tuple(int(i == j) for j in range(13)) for i in range(13)]
+        with pytest.raises(SizeBoundExceeded, match="t = 13 hyperplanes cut more than 4096"):
+            chambers(validate_arrangement(13, unit))
+        assert calls == []
+
+    def test_subset_limit(self, monkeypatch):
+        # C(513, 2) = 131328 pairs for 2048 chambers: refused before any work.
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(SizeBoundExceeded) as exc:
+            chambers(validate_arrangement(3, near_pencil(513)))
+        assert (exc.value.size, exc.value.bound) == (131328, realization.SUBSET_LIMIT)
+        assert str(exc.value) == (
+            "t = 513 hyperplanes of rank 3 need C(513, 2) = 131328 cocircuit "
+            "subsets, past the limit 131072"
+        )
+        assert calls == []
 
 
 class TestArrangementIO:

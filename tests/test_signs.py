@@ -42,6 +42,18 @@ class TestTope:
         with pytest.raises(ValueError):
             Tope.from_string("")
 
+    @pytest.mark.parametrize("text", ["", "+*-", " +-", "+-\n", "0", "+-+1"])
+    def test_from_string_names_the_bad_text(self, text):
+        with pytest.raises(ValueError) as exc:
+            Tope.from_string(text)
+        assert str(exc.value) == f"not a tope string: {text!r}"
+
+    @given(st.text(alphabet="+-", min_size=1, max_size=12))
+    def test_from_string_builds_the_entries(self, text):
+        T = Tope.from_string(text)
+        assert type(T) is Tope
+        assert T == Tope(1 if c == "+" else -1 for c in text)
+
     def test_sign_is_one_based(self):
         T = tope("+-+")
         assert T.sign(1) == 1
