@@ -3,7 +3,8 @@
 A symmetric cycle visits 2t distinct topes, consecutive ones adjacent (index
 arithmetic mod 2t), with vertex k+t the negation of vertex k. Walking the
 first t edges flips every element exactly once; the resulting element order
-is the cycle's l-sequence and drives all the linear algebra downstream.
+is the cycle's l-sequence and drives all the linear algebra downstream. A
+cycle is stored as its root and its l-sequence, which fix every vertex.
 """
 
 from __future__ import annotations
@@ -35,37 +36,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymmetricCycle:
-    """An immutable symmetric cycle; equality looks at vertices only.
+    """An immutable symmetric cycle, fixed by its root and its l-sequence.
 
-    ``vertices[0]`` is the root the cycle was built at; rotating or reversing
-    yields a combinatorially identical cycle with a different listing.
+    The constructor lists the vertices by walking ``carrier.flip_neighbors``
+    from ``base``, so no invalid cycle exists: it raises :class:`ValueError`
+    unless the l-sequence is a permutation of 1..t, and :class:`NotInTopeSet`
+    or :class:`NonAdjacentStep` for a root or a flip outside the carrier.
+    Equality compares root and l-sequence, the same as comparing listings.
     """
 
-    vertices: tuple[Tope, ...]
+    base: Tope
+    l_sequence: tuple[int, ...]
     carrier: TopeSet = field(compare=False)
+    vertices: tuple[Tope, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        l_seq = tuple(self.l_sequence)
+        t = self.carrier.t
+        if sorted(l_seq) != list(range(1, t + 1)):
+            raise ValueError(f"l-sequence {l_seq} is not a permutation of 1..{t}")
+        self.carrier.require(self.base, "cycle root")
+        nbrs = self.carrier.flip_neighbors
+        verts = [self.base]
+        for k, e in enumerate((l_seq * 2)[:-1]):
+            nxt = nbrs[verts[-1]].get(e)
+            if nxt is None:
+                raise NonAdjacentStep(k)
+            verts.append(nxt)
+        object.__setattr__(self, "l_sequence", l_seq)
+        object.__setattr__(self, "vertices", tuple(verts))
 
     @property
     def t(self) -> int:
-        return len(self.vertices) // 2
-
-    @property
-    def base(self) -> Tope:
-        return self.vertices[0]
+        return len(self.l_sequence)
 
     @cached_property
     def vertex_set(self) -> frozenset[Tope]:
         return frozenset(self.vertices)
-
-    @cached_property
-    def l_sequence(self) -> tuple[int, ...]:
-        """Element flipped at each of the first t steps; a permutation of 1..t."""
-        out = []
-        for k in range(self.t):
-            diff = separation_set(self.vertices[k], self.vertices[k + 1])
-            if len(diff) != 1:
-                raise NonAdjacentStep(k)
-            out.extend(diff)
-        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -80,12 +87,13 @@ class SymmetricCycle:
 
     def rotate_to(self, tope: Tope) -> "SymmetricCycle":
         """The same cycle listed starting from ``tope``."""
-        k = self.index(tope)
-        return SymmetricCycle(self.vertices[k:] + self.vertices[:k], self.carrier)
+        # Vertex k + t is -vertex k, and both start the same flips.
+        k = self.index(tope) % self.t
+        return SymmetricCycle(tope, (self.l_sequence * 2)[k : k + self.t], self.carrier)
 
     def reversed(self) -> "SymmetricCycle":
         """The same cycle walked the other way, keeping the root."""
-        return SymmetricCycle(self.vertices[:1] + self.vertices[:0:-1], self.carrier)
+        return SymmetricCycle(self.base, self.l_sequence[::-1], self.carrier)
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,8 @@ def build_symmetric_cycle(carrier: TopeSet, vertices) -> SymmetricCycle:
     """Validate a vertex listing and freeze it.
 
     Checks: even length 2t matching the carrier, membership, distinctness,
-    antipodal symmetry, adjacency of consecutive vertices including the
-    closing edge.
+    antipodal symmetry, then adjacency of the first t steps, which reads off
+    the l-sequence. The closing edge and the second half follow by symmetry.
     """
     verts = tuple(vertices)
     t = carrier.t
@@ -122,25 +130,25 @@ def build_symmetric_cycle(carrier: TopeSet, vertices) -> SymmetricCycle:
     for k in range(t):
         if verts[k + t] != -verts[k]:
             raise NotAntipodal(k)
-    nbrs = carrier.flip_neighbors
-    for k in range(2 * t):
-        nxt = verts[(k + 1) % (2 * t)]
-        if nxt not in nbrs[verts[k]].values():
+    l_seq = []
+    for k in range(t):
+        diff = separation_set(verts[k], verts[k + 1])
+        if len(diff) != 1:
             raise NonAdjacentStep(k)
-    return SymmetricCycle(verts, carrier)
+        l_seq.extend(diff)
+    return SymmetricCycle(verts[0], tuple(l_seq), carrier)
 
 
 def _paths_through(
     carrier: TopeSet, base: Tope, least: bool = False
-) -> Iterator[tuple[Tope, ...]]:
-    """Paths base -> -base flipping each element exactly once.
+) -> Iterator[tuple[int, ...]]:
+    """Flip sequences of the paths base -> -base flipping each element once.
 
-    Yields the first t+1 vertices in lexicographic order of the element
-    sequence. The walk keeps its own stack, so depth t costs no recursion;
-    flips are pushed in descending order so the smallest pops first. Each
-    element flips at most once, so e is still unflipped exactly when the
-    current vertex agrees with ``base`` at e, and a path of t+1 vertices
-    ends at -base. With
+    Yields them in lexicographic order. The walk keeps its own stack, so
+    depth t costs no recursion; flips are pushed in descending order so the
+    smallest pops first. Each element flips at most once, so e is still
+    unflipped exactly when the current vertex agrees with ``base`` at e, and
+    t flips reach -base. With
     ``least`` it walks only the cycles whose smallest vertex is ``base``:
     it never steps onto a v with v < base or -v < base, and yields nothing
     when -base < base.
@@ -149,19 +157,18 @@ def _paths_through(
         return
     t = carrier.t
     nbrs = carrier.flip_neighbors
-    stack: list[tuple[Tope, ...]] = [(base,)]
+    stack: list[tuple[Tope, tuple[int, ...]]] = [(base, ())]
     while stack:
-        path = stack.pop()
-        if len(path) > t:
-            yield path
+        here, flips = stack.pop()
+        if len(flips) == t:
+            yield flips
             continue
-        here = path[-1]
         steps = nbrs[here]
         for e in sorted(steps, reverse=True):
             nxt = steps[e]
             if here[e - 1] != base[e - 1] or (least and (nxt < base or -nxt < base)):
                 continue
-            stack.append(path + (nxt,))
+            stack.append((nxt, flips + (e,)))
 
 
 def _cycles_through(
@@ -174,13 +181,9 @@ def _cycles_through(
     once per direction; the reverse walk flips l_t .. l_1. Keeping the walk
     whose first flip is the smaller keeps the one found first.
     """
-    for half in _paths_through(carrier, base, least):
-        (first,) = separation_set(half[0], half[1])
-        (last,) = separation_set(half[-2], half[-1])
-        if first <= last:  # equal only when t = 1: one walk, one direction
-            # half holds vertices 0..t; vertex t is already -vertex 0.
-            verts = half[:-1]
-            yield SymmetricCycle(verts + tuple(-v for v in verts), carrier)
+    for flips in _paths_through(carrier, base, least):
+        if flips[0] <= flips[-1]:  # equal only when t = 1: one walk, one direction
+            yield SymmetricCycle(base, flips, carrier)
 
 
 def enumerate_cycles(
@@ -219,9 +222,10 @@ def find_symmetric_cycle(carrier: TopeSet, base: Tope) -> SymmetricCycle:
 def reorient_cycle(cycle: SymmetricCycle, elements) -> SymmetricCycle:
     """The image of a cycle under reorientation on ``elements``.
 
-    Each vertex is negated on ``elements``, and the carrier is rebuilt and
-    revalidated with :func:`reorient_set`.
+    The root is negated on ``elements`` and the l-sequence is kept; the
+    carrier is rebuilt and revalidated with :func:`reorient_set`.
     """
     elems = frozenset(elements)
-    verts = tuple(reorient(v, elems) for v in cycle.vertices)
-    return SymmetricCycle(verts, reorient_set(cycle.carrier, elems))
+    return SymmetricCycle(
+        reorient(cycle.base, elems), cycle.l_sequence, reorient_set(cycle.carrier, elems)
+    )

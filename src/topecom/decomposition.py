@@ -9,9 +9,10 @@ coordinate vector x = T M^{-1}, which lands in {-1, 0, 1}^t, and
 
 Collecting x_j R^{j-1} for nonzero x_j (these are again cycle vertices, since
 -R^{j-1} sits t steps further along) gives the decomposition set Q(T, R): the
-unique inclusion-minimal subset of the cycle's vertices summing to T. Three
+unique inclusion-minimal subset of the cycle's vertices summing to T. Four
 independent routes to Q are provided: the linear algebra above, an order-
-theoretic one through the based poset, and exhaustive subset search.
+theoretic one through the based poset, reorientation of T to the all-ones
+vector, and exhaustive subset search.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .cycles import SymmetricCycle
 from .errors import (
     DeterminantMismatch,
     NonTopeInput,
-    NotAntipodal,
     OracleAmbiguous,
     OracleNotFound,
     VerificationFailed,
 )
 from .posets import BasedPoset, max_positive
+from .realization import _echelon
 from .signs import Tope, negative_part, reorient
 
 __all__ = [
@@ -51,31 +52,16 @@ __all__ = [
 def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by fraction-free elimination.
 
-    Intermediate divisions are exact, so no rationals appear.
+    The last pivot of a full-rank square echelon form is the determinant up
+    to the sign of the row swaps; intermediate divisions are exact.
     """
-    a = [[int(v) for v in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     if n == 0:
         return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    a, pivots, sign = _echelon(rows)
+    return sign * a[-1][-1] if len(pivots) == n else 0
 
 
 def sign_matrix(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
@@ -99,7 +85,7 @@ def doubled_inverse(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
     -2 B_{l_k} times a standard basis vector; solving for that basis vector
     writes row l_k of M^{-1} with two entries +-1/2. Row l_t uses the closing
     step onto -R^0 instead. The product D M is then checked to be twice the
-    identity.
+    identity, which only a listing that is no :class:`SymmetricCycle` fails.
 
     That check also proves |det M| = 2^(t-1). If D M = 2I, no row of D is
     zero, so the l-sequence is a permutation and every row of D holds its
@@ -132,9 +118,11 @@ def doubled_inverse(cycle: SymmetricCycle) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def _check_length(vector: Tope, t: int) -> None:
+def _check_vector(vector: Tope, t: int) -> None:
     if len(vector) != t:
         raise ValueError(f"vector has {len(vector)} signs, cycle has t = {t}")
+    if any(v != 1 and v != -1 for v in vector):
+        raise NonTopeInput(vector)
 
 
 @dataclass(frozen=True)
@@ -159,21 +147,16 @@ class Decomposition:
 class CycleDecomposer:
     """Per-cycle closed-form machinery, built once and reused.
 
-    Construction checks that the second half of the listing negates the
-    first, which :meth:`decompose` reads, and runs the one D M = 2I check of
-    :func:`doubled_inverse`, which also proves the determinant identity.
-    After that each decomposition costs O(t).
+    Construction runs the one D M = 2I check of :func:`doubled_inverse`,
+    which also proves the determinant identity. After that each
+    decomposition costs O(t).
     """
 
     def __init__(self, cycle: SymmetricCycle):
         self.cycle = cycle
-        self.t = t = cycle.t
-        verts = cycle.vertices
-        for k in range(t):
-            if verts[k + t] != -verts[k]:
-                raise NotAntipodal(k)
-        # Column j of the checked D as (row, entry, row, entry): D M = 2I
-        # makes the l-sequence a permutation, so each column has two +-1s.
+        self.t = cycle.t
+        # Column j of the checked D as (row, entry, row, entry): the
+        # l-sequence is a permutation, so each column has two +-1s.
         self._columns = []
         for column in zip(*doubled_inverse(cycle)):
             (i, a), (k, b) = [(i, c) for i, c in enumerate(column) if c]
@@ -182,15 +165,11 @@ class CycleDecomposer:
     def coordinates(self, vector: Tope) -> tuple[int, ...]:
         """x = vector * D / 2; entries always land in {-1, 0, 1}.
 
-        Each column of D has two +-1 entries, so x_j is half the sum or
-        difference of two signs of the vector: exact, and O(t) in all.
+        Each column of D has two +-1 entries, so for a +-1 vector x_j is half
+        the sum or difference of two signs: exact, and O(t) in all.
         """
-        _check_length(vector, self.t)
-        x = tuple([(vector[i] * a + vector[k] * b) // 2 for i, a, k, b in self._columns])
-        for c in x:
-            if c not in (-1, 0, 1):
-                raise NonTopeInput(vector)
-        return x
+        _check_vector(vector, self.t)
+        return tuple([(vector[i] * a + vector[k] * b) // 2 for i, a, k, b in self._columns])
 
     def decompose(self, vector: Tope) -> Decomposition:
         x = self.coordinates(vector)
@@ -232,7 +211,7 @@ def decompose_via_reorientation(cycle: SymmetricCycle, vector: Tope) -> frozense
     vector, whose minimal separation sets are exactly the maximal positive
     parts. No poset and no carrier membership are needed.
     """
-    _check_length(vector, cycle.t)
+    _check_vector(vector, cycle.t)
     neg = negative_part(vector)
     flipped = [reorient(v, neg) for v in cycle.vertices]
     chosen = max_positive(flipped)
@@ -277,7 +256,7 @@ class BruteForceOracle:
 
     def decompose(self, target: Tope) -> frozenset[Tope]:
         """The unique inclusion-minimal vertex subset summing to ``target``."""
-        _check_length(target, self.cycle.t)
+        _check_vector(target, self.cycle.t)
         masks = self._solution_masks(target)
         if not masks:
             raise OracleNotFound(f"no vertex subset sums to {target}")

@@ -124,17 +124,17 @@ class DeterminantMismatch(TopecomError):
 
 
 class VerificationFailed(TopecomError):
-    """The closed-form inverse disagrees with direct multiplication."""
+    """An exact self-check failed: D M != 2I for the closed-form inverse, a
+    cycle committee that does not sum to all ones or is not critical, or a
+    graph distance that differs from the sign distance."""
 
 
 class NonTopeInput(TopecomError):
-    """Cycle coordinates left {-1,0,1}^t: the input vector cannot be a tope."""
+    """A vector to decompose has an entry other than +-1, so it is no tope."""
 
     def __init__(self, vector):
         self.vector = vector
-        super().__init__(
-            f"{vector} has no {{-1,0,1}} coordinate vector over the cycle; not a tope"
-        )
+        super().__init__(f"{vector} has an entry other than +-1; not a tope")
 
 
 class OracleAmbiguous(TopecomError):

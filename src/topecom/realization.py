@@ -121,20 +121,22 @@ def validate_arrangement(d: int, normals) -> Arrangement:
 
 # -- chambers from cocircuits ------------------------------------------------
 
-def _echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row echelon form and its pivot columns.
+def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form, its pivot columns, and the
+    sign of its row swaps.
 
     Each entry stays a minor of ``rows``, so every division is exact.
     """
     a = [list(row) for row in rows]
     pivots: list[int] = []
-    prev = 1
+    prev = sign = 1
     for j in range(len(a[0])):
         k = len(pivots)
         p = next((i for i in range(k, len(a)) if a[i][j]), None)
         if p is None:
             continue
         a[k], a[p] = a[p], a[k]
+        sign = sign if p == k else -sign
         top = a[k]
         piv = top[j]
         for row in a[k + 1:]:
@@ -145,7 +147,7 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
         pivots.append(j)
         if len(pivots) == len(a):
             break
-    return a, pivots
+    return a, pivots, sign
 
 
 def _kernel(rows) -> list[int] | None:
@@ -155,7 +157,7 @@ def _kernel(rows) -> list[int] | None:
     (r - 1)-minors up to sign: the free entry is the last pivot, which is
     +-det of the pivot columns, so back substitution divides exactly.
     """
-    a, pivots = _echelon(rows)
+    a, pivots, _ = _echelon(rows)
     if len(pivots) < len(a):
         return None
     x = [0] * len(a[0])

@@ -12,6 +12,7 @@ from topecom import (
     NotAntipodal,
     NotInTopeSet,
     NotOnCycle,
+    SymmetricCycle,
     Tope,
     TopeSet,
     build_symmetric_cycle,
@@ -19,6 +20,7 @@ from topecom import (
     enumerate_cycles,
     find_symmetric_cycle,
     positive_tope,
+    reorient,
     reorient_cycle,
 )
 from topecom.cycles import _paths_through
@@ -77,6 +79,36 @@ class TestBuildValidation:
         assert len(cyc) == 6
         assert cyc.base == tope("+++")
 
+    def test_listing_round_trips(self, zoo):
+        for inst in zoo:
+            for cyc in enumerate_cycles(inst.tope_set, budget=20).cycles:
+                assert build_symmetric_cycle(inst.tope_set, cyc.vertices) == cyc
+
+
+class TestRootAndLSequence:
+    """The constructor admits valid cycles only."""
+
+    def test_non_permutation_is_refused(self):
+        for l_seq in ((1, 1, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2), (2, 3, 4)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                SymmetricCycle(tope("+++"), l_seq, hexagon())
+
+    def test_flip_leaving_the_carrier_is_refused(self):
+        # +++ -> -++ is an edge of the hexagon, -++ -> --+ is not
+        with pytest.raises(NonAdjacentStep) as exc:
+            SymmetricCycle(tope("+++"), (1, 2, 3), hexagon())
+        assert exc.value.position == 1
+
+    def test_root_outside_the_carrier_is_refused(self):
+        with pytest.raises(NotInTopeSet):
+            SymmetricCycle(tope("++-"), (2, 3, 1), hexagon())
+
+    def test_vertices_follow_the_flips(self):
+        cyc = SymmetricCycle(tope("+++"), (2, 3, 1), hexagon())
+        assert cyc.vertices == tuple(topes(*HEX_STRINGS))
+        assert cyc == hexagon_cycle()
+        assert hash(cyc) == hash(hexagon_cycle())
+
 
 class TestCycleStructure:
     def test_l_sequence_is_a_permutation(self, zoo):
@@ -107,21 +139,35 @@ class TestCycleStructure:
         with pytest.raises(NotOnCycle):
             cyc.index(tope("++-"))
 
-    def test_rotate_to(self):
+    def test_rotate_to(self, zoo):
         cyc = hexagon_cycle()
         rot = cyc.rotate_to(tope("---"))
         assert rot.vertices[0] == tope("---")
         assert rot.vertex_set == cyc.vertex_set
         assert rot.vertices[3] == tope("+++")
         assert cyc.rotate_to(cyc.base) == cyc
+        for inst in zoo:
+            for cyc in enumerate_cycles(inst.tope_set, budget=20).cycles:
+                verts = cyc.vertices
+                assert cyc.rotate_to(cyc.base) == cyc
+                for k, v in enumerate(verts):
+                    rot = cyc.rotate_to(v)
+                    assert rot.vertices == verts[k:] + verts[:k]
+                    assert rot.vertex_set == cyc.vertex_set
 
-    def test_reversed(self):
+    def test_reversed(self, zoo):
         cyc = hexagon_cycle()
         rev = cyc.reversed()
         assert rev.base == cyc.base
         assert rev.vertex_set == cyc.vertex_set
         assert rev.vertices[1] == cyc.vertices[-1]
         assert rev.reversed() == cyc
+        for inst in zoo:
+            for cyc in enumerate_cycles(inst.tope_set, budget=20).cycles:
+                rev = cyc.reversed()
+                assert rev.vertices == cyc.vertices[:1] + cyc.vertices[:0:-1]
+                assert rev.vertex_set == cyc.vertex_set
+                assert rev.reversed() == cyc
 
     def test_antipodal_invariant(self, zoo):
         for inst in zoo:
@@ -197,9 +243,11 @@ class TestWalkOnce:
     def _deduplicated_walks(ts, root):
         # The slow rule: build every walk, keep the first of each vertex set.
         seen, out = set(), []
-        for half in _paths_through(ts, root):
-            first = half[:-1]
-            verts = first + tuple(-v for v in first)
+        for flips in _paths_through(ts, root):
+            first = [root]
+            for e in flips[:-1]:
+                first.append(first[-1].flip(e))
+            verts = tuple(first) + tuple(-v for v in first)
             if frozenset(verts) not in seen:
                 seen.add(frozenset(verts))
                 out.append(verts)
@@ -284,10 +332,17 @@ class TestReorientCycle:
             topes("-++", "--+", "---", "+--", "++-", "+++")
         )
 
-    def test_involution(self):
+    def test_involution(self, zoo):
         cyc = hexagon_cycle()
         back = reorient_cycle(reorient_cycle(cyc, {1, 3}), {1, 3})
         assert back.vertices == cyc.vertices
+        # every vertex is negated on the elements, and twice is the identity
+        for inst in zoo:
+            for cyc in enumerate_cycles(inst.tope_set, budget=5).cycles:
+                for elems in ({1}, set(range(1, cyc.t + 1, 2))):
+                    flipped = reorient_cycle(cyc, elems)
+                    assert flipped.vertices == tuple(reorient(v, elems) for v in cyc.vertices)
+                    assert reorient_cycle(flipped, elems) == cyc
 
     def test_l_sequence_is_stable_under_reorientation(self, zoo):
         # reorientation never changes which element each step flips

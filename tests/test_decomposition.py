@@ -1,5 +1,7 @@
 """Cycle sign matrices, the doubled inverse, and minimal decompositions."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +10,7 @@ from topecom import (
     BruteForceOracle,
     CycleDecomposer,
     DeterminantMismatch,
-    NonAdjacentStep,
-    NotAntipodal,
+    NonTopeInput,
     NotInTopeSet,
     SymmetricCycle,
     Tope,
@@ -106,10 +107,13 @@ class TestSignMatrix:
                 assert abs(cycle_determinant(cyc)) == 1 << (cyc.t - 1)
 
     def test_determinant_mismatch_on_corrupt_data(self):
-        # a raw listing with a repeated row is singular, det 0 against 4
-        carrier = hexagon()
-        fake = SymmetricCycle(
-            topes("+++", "-++", "+++", "++-", "---", "---"), carrier
+        # a duck-typed listing with a repeated row is singular, det 0 against 4;
+        # a SymmetricCycle with this listing cannot be built
+        fake = SimpleNamespace(
+            t=3,
+            vertices=tuple(topes("+++", "-++", "+++", "++-", "---", "---")),
+            base=tope("+++"),
+            l_sequence=(1, 2, 3),
         )
         with pytest.raises(DeterminantMismatch) as exc:
             cycle_determinant(fake)
@@ -117,28 +121,6 @@ class TestSignMatrix:
         with pytest.raises(VerificationFailed):
             doubled_inverse(fake)
         with pytest.raises(TopecomError):
-            CycleDecomposer(fake)
-
-    def test_non_adjacent_step_in_raw_listing(self):
-        # step 0 (+++ -> +--) flips two elements; the determinant is still 4,
-        # so the fault surfaces when the l-sequence is read
-        fake = SymmetricCycle(topes("+++", "+--", "++-", "---", "-++", "--+"), hexagon())
-        with pytest.raises(NonAdjacentStep) as exc:
-            decompose(fake, tope("+++"))
-        assert exc.value.position == 0
-
-    def test_second_half_that_is_not_antipodal(self, demo):
-        # decompose reads vertex j+t as -R^j, which neither the determinant
-        # nor D M = 2I looks at: this listing would give ++--- as {-+---}
-        cyc = demo.cycles[2]
-        t = cyc.t
-        verts = list(cyc.vertices)
-        verts[t + 1] = verts[t + 2]
-        fake = SymmetricCycle(tuple(verts), cyc.carrier)
-        with pytest.raises(NotAntipodal) as exc:
-            decompose(fake, tope("++---"))
-        assert exc.value.position == 1
-        with pytest.raises(NotAntipodal):
             CycleDecomposer(fake)
 
 
@@ -168,41 +150,34 @@ class TestDoubledInverse:
                 assert abs(bareiss_determinant(doubled_inverse(cyc))) == 2
 
     @given(
-        st.integers(min_value=1, max_value=7).flatmap(
+        st.integers(min_value=2, max_value=6).flatmap(
             lambda t: st.tuples(
                 st.lists(st.sampled_from((1, -1)), min_size=t, max_size=t),
                 st.one_of(
                     st.permutations(range(1, t + 1)),
                     st.lists(
-                        st.integers(min_value=1, max_value=t), min_size=t, max_size=t
+                        st.integers(min_value=0, max_value=t + 1),
+                        min_size=t - 1,
+                        max_size=t + 1,
                     ),
                 ),
-                st.booleans(),
             )
         )
     )
-    def test_one_check_rejects_what_the_two_did(self, drawn):
-        start, flips, negate_first_half = drawn
+    def test_cube_accepts_exactly_the_permutations(self, drawn):
+        # every flip stays inside the full cube, so only l itself can fail
+        start, flips = drawn
         t = len(start)
-        walk = [Tope(start)]
-        for e in flips:
-            walk.append(walk[-1].flip(e))
-        # a raw listing: either the walk's first t vertices and their
-        # negations, or the whole walk, then the negations of vertices 1..t-1
-        if negate_first_half:
-            verts = walk[:t] + [-v for v in walk[:t]]
-        else:
-            verts = walk + [-v for v in walk[1:t]]
-        cyc = SymmetricCycle(tuple(verts), None)
-        try:
-            cycle_determinant(cyc)
-            doubled_inverse(cyc)
-        except TopecomError:
-            with pytest.raises(TopecomError):
-                CycleDecomposer(cyc)
-        else:
-            CycleDecomposer(cyc)
-            assert abs(cycle_determinant(cyc)) == 2 ** (t - 1)
+        cube = build_tope_set(all_sign_vectors(t))
+        if sorted(flips) != list(range(1, t + 1)):
+            with pytest.raises(ValueError):
+                SymmetricCycle(Tope(start), flips, cube)
+            return
+        cyc = SymmetricCycle(Tope(start), flips, cube)
+        assert abs(cycle_determinant(cyc)) == 2 ** (t - 1)
+        doubled_inverse(cyc)
+        dec = CycleDecomposer(cyc)
+        assert dec.decompose(cyc.base).members == frozenset({cyc.base})
 
     def test_decomposer_needs_no_determinant(self, zoo, monkeypatch):
         cycles = [
@@ -304,6 +279,19 @@ class TestDecompose:
     def test_wrong_length(self, route):
         with pytest.raises(ValueError, match="vector has 4 signs, cycle has t = 3"):
             route(hexagon_cycle(), tope("++++"))
+
+    @pytest.mark.parametrize(
+        "route",
+        [coordinates, decompose, decompose_via_reorientation, brute_force_decompose],
+        ids=lambda route: route.__name__,
+    )
+    @pytest.mark.parametrize("vector", [(0, 1, 1, 1, 1), (1, 1, 1, 1, 2), (3, 1, 1, 1, 1)])
+    def test_entries_other_than_plus_minus_one(self, demo, route, vector):
+        # floor division in the closed form turns the first two into {-1,0,1}
+        # coordinates whose members do not sum to the vector
+        with pytest.raises(NonTopeInput) as exc:
+            route(demo.cycles[0], vector)
+        assert exc.value.vector == vector
 
     def test_decomposer_reuse_matches_module_functions(self, demo):
         cyc = demo.cycles[1]
