@@ -9,7 +9,8 @@ Run from the repository root:
 
     python scripts/demo_walkthrough.py
 
-Everything is exact integer arithmetic; the output is deterministic.
+Everything is exact integer arithmetic; the output is deterministic and is
+committed beside this script as ``demo_walkthrough.expected``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 from topecom import (
     BasedPoset,
     BruteForceOracle,
-    coordinates,
     critical_from_cycle,
     committee_sum,
     decompose,
@@ -29,7 +29,6 @@ from topecom import (
     enumerate_cycles,
     is_critical,
     reorient_cycle,
-    reorient_set,
 )
 
 
@@ -57,7 +56,7 @@ def main() -> int:
     third = demo.cycles[2]
     result = decompose(third, demo.target)
     print(f"target {demo.target} over cycle 3:")
-    print(f"  coordinates: {list(coordinates(third, demo.target))}")
+    print(f"  coordinates: {list(result.coordinates)}")
     print(f"  closed form:   {show(result.members)}")
     print(f"  poset route:   {show(decompose_via_poset(third, demo.target))}")
     print(f"  reorientation: {show(decompose_via_reorientation(third, demo.target))}")
@@ -65,9 +64,8 @@ def main() -> int:
     print()
 
     elements = set(demo.reorient_elements)
-    flipped = reorient_set(ts, elements)
     fcyc = reorient_cycle(demo.cycles[0], elements)
-    committee = critical_from_cycle(flipped, fcyc)
+    committee = critical_from_cycle(fcyc)
     print(f"after reorienting on {sorted(elements)}:")
     print(f"  committee: {show(committee.members)}")
     print(f"  sum: {list(committee_sum(committee))}")

@@ -64,7 +64,7 @@ class CommitteeCandidate:
 
 def committee_sum(candidate: CommitteeCandidate) -> tuple[int, ...]:
     """Componentwise integer sum of the members."""
-    return tope_sum(candidate.sorted_members(), t=candidate.carrier.t)
+    return tope_sum(candidate.sorted_members())
 
 
 def is_committee(candidate: CommitteeCandidate) -> bool:
@@ -83,11 +83,11 @@ def is_minimal(candidate: CommitteeCandidate) -> bool:
     members = candidate.sorted_members()
     k = len(members)
     if k > MINIMALITY_BOUND:
-        raise SizeBoundExceeded(k, MINIMALITY_BOUND)
-    t = candidate.carrier.t
+        msg = f"{k} members exceed the exhaustive-check bound {MINIMALITY_BOUND}"
+        raise SizeBoundExceeded(k, MINIMALITY_BOUND, msg)
     for size in range(1, k):
         for subset in combinations(members, size):
-            if all(c >= 1 for c in tope_sum(subset, t=t)):
+            if all(c >= 1 for c in tope_sum(subset)):
                 return False
     return True
 
@@ -103,18 +103,18 @@ def _require_acyclic(carrier: TopeSet) -> None:
         raise NotAcyclic("the all-ones tope is not a member")
 
 
-def critical_from_cycle(carrier: TopeSet, cycle: SymmetricCycle) -> CommitteeCandidate:
+def critical_from_cycle(cycle: SymmetricCycle) -> CommitteeCandidate:
     """The critical committee a symmetric cycle induces.
 
     Takes the cycle vertices with inclusion-maximal positive parts; their
     sum is verified to be exactly the all-ones vector before returning.
-    Requires the carrier to contain the all-ones tope.
+    Requires the cycle's carrier to contain the all-ones tope.
     """
-    _require_acyclic(carrier)
+    _require_acyclic(cycle.carrier)
     candidate = CommitteeCandidate(
-        members=max_positive(cycle.vertex_set), carrier=carrier
+        members=max_positive(cycle.vertex_set), carrier=cycle.carrier
     )
-    ones = (1,) * carrier.t
+    ones = (1,) * cycle.t
     got = committee_sum(candidate)
     if got != ones:
         raise VerificationFailed(
@@ -123,14 +123,15 @@ def critical_from_cycle(carrier: TopeSet, cycle: SymmetricCycle) -> CommitteeCan
     return candidate
 
 
-def two_path_witness(carrier: TopeSet, cycle: SymmetricCycle, vertex: Tope) -> bool:
+def two_path_witness(cycle: SymmetricCycle, vertex: Tope) -> bool:
     """Both cycle neighbors sit one step farther from the all-ones tope.
 
     This local test agrees with membership of ``vertex`` in
     max_positive(vertex_set): a closer neighbor flips some negative sign of
     the vertex to positive and so strictly enlarges the positive part.
+    Requires the cycle's carrier to contain the all-ones tope.
     """
-    _require_acyclic(carrier)
+    _require_acyclic(cycle.carrier)
     idx = cycle.index(vertex)
     verts = cycle.vertices
     ones = positive_tope(cycle.t)
@@ -170,7 +171,7 @@ def enumerate_critical(
     enum: CycleEnumeration = enumerate_cycles(carrier, root, cycle_budget)
     found: dict[frozenset[Tope], CommitteeCandidate] = {}
     for cyc in enum.cycles:
-        candidate = critical_from_cycle(carrier, cyc)
+        candidate = critical_from_cycle(cyc)
         if candidate.members in found:
             continue
         if not is_critical(candidate):

@@ -39,19 +39,17 @@ class BasedPoset:
         """Distance from the base; grades the poset."""
         return len(self._sep_of(tope))
 
-    def minimal_elements(self, among: Iterable[Tope] | None = None) -> frozenset[Tope]:
-        """Topes whose separation set from the base is inclusion-minimal.
+    def minimal_elements(self, among: Iterable[Tope]) -> frozenset[Tope]:
+        """Members of ``among`` whose separation set from the base is
+        inclusion-minimal, for instance among the vertices of a cycle.
 
-        With no argument the answer is just {base}; the interesting calls
-        restrict to a subset such as the vertex set of a cycle.
+        Over the whole carrier this is just {base}.
         """
-        pool = self.carrier.topes if among is None else among
-        return _inclusion_minimal(pool, self._sep_of)
+        return _inclusion_minimal(among, self._sep_of)
 
-    def maximal_elements(self, among: Iterable[Tope] | None = None) -> frozenset[Tope]:
+    def maximal_elements(self, among: Iterable[Tope]) -> frozenset[Tope]:
         # sep(B, -T) is the complement of sep(B, T), so maxima become minima.
-        pool = self.carrier.topes if among is None else among
-        return _inclusion_minimal(pool, lambda tp: self._sep_of(-tp))
+        return _inclusion_minimal(among, lambda tp: self._sep_of(-tp))
 
     def hasse_edges(self, among: Iterable[Tope] | None = None) -> list[tuple[Tope, Tope]]:
         """Cover pairs (lower, upper) of the induced subposet, sorted.

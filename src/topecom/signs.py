@@ -135,20 +135,12 @@ def distance(t1: Tope, t2: Tope) -> int:
     return len(separation_set(t1, t2))
 
 
-def tope_sum(topes: Sequence[Tope], t: int | None = None) -> tuple[int, ...]:
-    """Componentwise integer sum of a sequence of equal-length topes.
-
-    An empty sequence yields the zero vector, in which case the length ``t``
-    must be supplied.
-    """
+def tope_sum(topes: Sequence[Tope]) -> tuple[int, ...]:
+    """Componentwise integer sum of a nonempty sequence of equal-length topes."""
     topes = list(topes)
     if not topes:
-        if t is None:
-            raise ValueError("empty sum: pass t for the zero vector length")
-        return (0,) * t
+        raise ValueError("empty sum: no topes to take the length from")
     n = len(topes[0])
-    if t is not None and t != n:
-        raise ValueError(f"length mismatch: t={t} vs topes of length {n}")
     for tope in topes:
         if len(tope) != n:
             raise ValueError(f"length mismatch: {len(tope)} vs {n}")

@@ -91,23 +91,19 @@ class TopeSet:
             raise NotInTopeSet(tope, context)
 
 
-def build_tope_set(
-    vectors: Iterable[Tope], t: int | None = None, check_partial_cube: bool = False
-) -> TopeSet:
+def build_tope_set(vectors: Iterable[Tope], check_partial_cube: bool = False) -> TopeSet:
     """Validate and freeze a collection of topes.
 
-    Checks, in order: nonempty and uniform length t >= 2 (matching ``t``
-    when given) with at least 4 topes; central symmetry; no parallel or
-    antiparallel element pair; connected tope graph. With
-    ``check_partial_cube`` the graph metric is additionally compared to
-    sign-disagreement distance on every pair: a slow diagnostic, not a
-    structural requirement.
+    Checks, in order: nonempty and uniform length t >= 2 with at least 4
+    topes; central symmetry; no parallel or antiparallel element pair;
+    connected tope graph. With ``check_partial_cube`` the graph metric is
+    additionally compared to sign-disagreement distance on every pair: a
+    slow diagnostic, not a structural requirement.
     """
     topes = sorted(set(vectors))
     if not topes:
         raise TooSmall("empty tope collection")
-    if t is None:
-        t = topes[0].t
+    t = topes[0].t
     for tope in topes:
         if tope.t != t:
             raise ValueError(f"mixed tope lengths: {tope.t} and {t}")
@@ -264,7 +260,7 @@ def parse_topes_text(text: str) -> TopeSet:
         raise ValueError("missing header line 't <int>'")
     if not topes:
         raise ValueError(f"header says t = {t}, but no topes follow")
-    return build_tope_set(topes, t)
+    return build_tope_set(topes)
 
 
 def format_topes_text(topeset: TopeSet) -> str:

@@ -3,7 +3,9 @@
 The zoo covers the square (t=2), the hexagon (t=3), the bundled demo
 instance (t=5), five random generic rank-3 arrangements, and two random
 rank-4 arrangements. Random instances are rejection-sampled from fixed
-seeds, so every run sees identical data.
+seeds, so every run sees identical data. The plain builders ``tope``,
+``topes``, ``hexagon`` and ``hexagon_cycle`` are imported by the test
+modules directly.
 """
 
 from __future__ import annotations
@@ -17,17 +19,49 @@ from pathlib import Path
 import pytest
 
 import topecom
-from topecom import Arrangement, TopeSet, chambers, validate_arrangement
+from topecom import (
+    Arrangement,
+    Tope,
+    TopeSet,
+    build_symmetric_cycle,
+    build_tope_set,
+    chambers,
+    validate_arrangement,
+)
 from topecom.decomposition import bareiss_determinant
 from topecom.errors import TopecomError
 from topecom.fixtures import DemoData, demo_data
 
 CUBE_NORMALS = ((1, 0), (0, 1))
-HEXAGON_NORMALS = ((1, 0), (0, 1), (1, 1))
+# The topes of the normals (1, 0), (0, 1), (1, 1), listed once round.
+HEX_STRINGS = ("+++", "+-+", "+--", "---", "-+-", "-++")
+# A symmetric t = 5 set that build_tope_set accepts, although no symmetric
+# cycle passes through --+-- or ++-++. It is no partial cube.
+STRANDED_STRINGS = (
+    "-----", "----+", "---++", "--+--", "--+++", "-+---",
+    "+-+++", "++---", "++-++", "+++--", "++++-", "+++++",
+)
 
 # (t, seed) for the random layers of the zoo.
 D3_SPECS = ((4, 101), (5, 102), (6, 103), (7, 104), (6, 105))
 D4_SPECS = ((5, 201), (6, 202))
+
+
+def tope(s: str) -> Tope:
+    return Tope.from_string(s)
+
+
+def topes(*strings):
+    return [tope(s) for s in strings]
+
+
+def hexagon() -> TopeSet:
+    return build_tope_set(topes(*HEX_STRINGS))
+
+
+def hexagon_cycle():
+    """The hexagon walked in ``HEX_STRINGS`` order: l-sequence (2, 3, 1)."""
+    return build_symmetric_cycle(hexagon(), topes(*HEX_STRINGS))
 
 
 @dataclass(frozen=True)
@@ -81,20 +115,15 @@ def cube() -> TopeSet:
 
 
 @pytest.fixture(scope="session")
-def hexagon() -> TopeSet:
-    return chambers(validate_arrangement(2, HEXAGON_NORMALS))
-
-
-@pytest.fixture(scope="session")
 def demo() -> DemoData:
     return demo_data()
 
 
 @pytest.fixture(scope="session")
-def zoo(cube, hexagon, demo) -> tuple[Instance, ...]:
+def zoo(cube, demo) -> tuple[Instance, ...]:
     instances = [
         Instance("cube", cube),
-        Instance("hexagon", hexagon),
+        Instance("hexagon", hexagon()),
         Instance("demo", demo.carrier, demo.arrangement, generic_d3=True),
     ]
     for t, seed in D3_SPECS:

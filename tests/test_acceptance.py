@@ -129,20 +129,19 @@ def test_criterion_4_committee_guarantees(zoo, demo):
                 continue
             ones = (1,) * ts.t
             for cyc in enumerate_cycles(ts, budget=CYCLE_BUDGET).cycles:
-                cand = critical_from_cycle(ts, cyc)
+                cand = critical_from_cycle(cyc)
                 assert committee_sum(cand) == ones
                 assert len(cand) % 2 == 1
                 assert is_minimal(cand)
                 members = max_positive(cyc.vertex_set)
                 assert cand.members == members
                 for v in cyc.vertices:
-                    assert two_path_witness(ts, cyc, v) == (v in members)
+                    assert two_path_witness(cyc, v) == (v in members)
                 ones_seen += 1
         assert ones_seen > 0
 
-        flipped = reorient_set(demo.carrier, demo.reorient_elements)
         fcyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
-        assert critical_from_cycle(flipped, fcyc).members == demo.reoriented_committee
+        assert critical_from_cycle(fcyc).members == demo.reoriented_committee
 
     _verdict("criterion 4, cycle committees are critical everywhere", body)
 
@@ -158,7 +157,7 @@ def test_criterion_5_generic_plane_counts():
             ts = chambers(arr)
             assert len(ts) == t * (t - 1) + 2
             # the listing must survive a full revalidation from scratch
-            assert build_tope_set(ts.topes, t=t, check_partial_cube=True) == ts
+            assert build_tope_set(ts.topes, check_partial_cube=True) == ts
 
     _verdict("criterion 5, generic rank-3 chamber counts", body)
 

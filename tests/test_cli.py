@@ -8,13 +8,14 @@ from importlib.resources import files
 import pytest
 
 from topecom import (
-    Tope,
     build_tope_set,
     validate_arrangement,
     write_arrangement_file,
     write_topes_file,
 )
 from topecom.cli import _merge_tope_flags, main
+
+from conftest import STRANDED_STRINGS, hexagon, topes
 
 
 @pytest.fixture(scope="session")
@@ -29,11 +30,8 @@ def demo_topes_path():
 
 @pytest.fixture()
 def hexagon_path(tmp_path):
-    ts = build_tope_set(
-        [Tope.from_string(s) for s in ("+++", "+-+", "+--", "---", "-+-", "-++")]
-    )
     path = tmp_path / "hexagon.topes"
-    write_topes_file(path, ts)
+    write_topes_file(path, hexagon())
     return str(path)
 
 
@@ -412,6 +410,18 @@ class TestPlumbing:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: an input file is required")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv", [("decompose", "--tope", "+++++"), ("poset",)], ids=["decompose", "poset"]
+    )
+    def test_root_on_no_cycle_exits_one(self, capsys, tmp_path, argv):
+        # the set validates, but no symmetric cycle passes through --+--
+        path = str(tmp_path / "stranded.topes")
+        write_topes_file(path, build_tope_set(topes(*STRANDED_STRINGS)))
+        assert run(capsys, "validate", "--topes", path)[0] == 0
+        code, out, err = run(capsys, *argv, "--topes", path, "--cycle-base", "--+--")
+        assert (code, out) == (1, "")
+        assert err == "error: no symmetric cycle passes through --+--\n"
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,8 +8,6 @@ from topecom import (
     NotInTopeSet,
     NotOnCycle,
     SizeBoundExceeded,
-    Tope,
-    build_tope_set,
     committee_sum,
     critical_from_cycle,
     enumerate_critical,
@@ -26,17 +24,7 @@ from topecom import (
     two_path_witness,
 )
 
-
-def tope(s: str) -> Tope:
-    return Tope.from_string(s)
-
-
-def topes(*strings):
-    return [tope(s) for s in strings]
-
-
-def hexagon():
-    return build_tope_set(topes("+++", "+-+", "+--", "---", "-+-", "-++"))
+from conftest import hexagon, tope, topes
 
 
 def candidate(carrier, *strings):
@@ -115,10 +103,7 @@ class TestVerification:
 
     def test_odd_size_of_critical_committees(self, demo):
         for cyc in demo.cycles:
-            flipped_carrier = reorient_set(demo.carrier, demo.reorient_elements)
-            cand = critical_from_cycle(
-                flipped_carrier, reorient_cycle(cyc, demo.reorient_elements)
-            )
+            cand = critical_from_cycle(reorient_cycle(cyc, demo.reorient_elements))
             assert len(cand) % 2 == 1
 
 
@@ -126,14 +111,14 @@ class TestCriticalFromCycle:
     def test_hexagon_collapses_to_singleton(self):
         ts = hexagon()
         cyc = find_symmetric_cycle(ts, tope("+++"))
-        cand = critical_from_cycle(ts, cyc)
+        cand = critical_from_cycle(cyc)
         assert cand.members == frozenset({tope("+++")})
 
     def test_demo_reoriented_committee(self, demo):
-        flipped = reorient_set(demo.carrier, demo.reorient_elements)
         cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
-        cand = critical_from_cycle(flipped, cyc)
+        cand = critical_from_cycle(cyc)
         assert cand.members == demo.reoriented_committee
+        assert cand.carrier is cyc.carrier
         assert is_critical(cand)
 
     def test_requires_acyclic(self):
@@ -141,7 +126,7 @@ class TestCriticalFromCycle:
         assert not is_acyclic(ts)
         cyc = find_symmetric_cycle(ts, ts.topes[0])
         with pytest.raises(NotAcyclic):
-            critical_from_cycle(ts, cyc)
+            critical_from_cycle(cyc)
 
     def test_members_match_max_positive(self, zoo):
         for inst in zoo:
@@ -149,21 +134,20 @@ class TestCriticalFromCycle:
             if not is_acyclic(ts):
                 continue
             for cyc in enumerate_cycles(ts, budget=5).cycles:
-                cand = critical_from_cycle(ts, cyc)
+                cand = critical_from_cycle(cyc)
                 assert cand.members == max_positive(cyc.vertex_set)
 
 
 class TestTwoPathWitness:
     def test_on_reoriented_demo_cycle(self, demo):
-        flipped = reorient_set(demo.carrier, demo.reorient_elements)
         cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
-        members = critical_from_cycle(flipped, cyc).members
+        members = critical_from_cycle(cyc).members
         for v in cyc.vertices:
-            assert two_path_witness(flipped, cyc, v) == (v in members)
+            assert two_path_witness(cyc, v) == (v in members)
 
     def test_positive_tope_always_witnesses(self, demo):
         cyc = find_symmetric_cycle(demo.carrier, positive_tope(5))
-        assert two_path_witness(demo.carrier, cyc, positive_tope(5))
+        assert two_path_witness(cyc, positive_tope(5))
 
     def test_matches_max_positive_everywhere(self, zoo):
         for inst in zoo:
@@ -173,19 +157,19 @@ class TestTwoPathWitness:
             for cyc in enumerate_cycles(ts, budget=5).cycles:
                 members = max_positive(cyc.vertex_set)
                 for v in cyc.vertices:
-                    assert two_path_witness(ts, cyc, v) == (v in members)
+                    assert two_path_witness(cyc, v) == (v in members)
 
     def test_requires_cycle_vertex(self, demo):
         cyc = demo.cycles[0]
         outside = next(T for T in demo.carrier if T not in cyc.vertex_set)
         with pytest.raises(NotOnCycle):
-            two_path_witness(demo.carrier, cyc, outside)
+            two_path_witness(cyc, outside)
 
     def test_requires_acyclic(self):
         ts = reorient_set(hexagon(), {3})
         cyc = find_symmetric_cycle(ts, ts.topes[0])
         with pytest.raises(NotAcyclic):
-            two_path_witness(ts, cyc, cyc.base)
+            two_path_witness(cyc, cyc.base)
 
 
 class TestEnumerateCritical:
@@ -226,9 +210,8 @@ class TestReorientationCovariance:
     def test_committee_maps_to_poset_minimum(self, demo):
         # reorienting on {1} turns the committee story back into the
         # minimal-elements story at the original base
-        flipped = reorient_set(demo.carrier, demo.reorient_elements)
         cyc = reorient_cycle(demo.cycles[0], demo.reorient_elements)
-        members = critical_from_cycle(flipped, cyc).members
+        members = critical_from_cycle(cyc).members
         e = next(iter(demo.reorient_elements))
         back = frozenset(T.flip(e) for T in members)
         assert back == demo.minimal_at_base[0]

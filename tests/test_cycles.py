@@ -13,8 +13,6 @@ from topecom import (
     NotInTopeSet,
     NotOnCycle,
     SymmetricCycle,
-    Tope,
-    TopeSet,
     build_symmetric_cycle,
     build_tope_set,
     enumerate_cycles,
@@ -25,24 +23,7 @@ from topecom import (
 )
 from topecom.cycles import _paths_through
 
-
-def tope(s: str) -> Tope:
-    return Tope.from_string(s)
-
-
-def topes(*strings):
-    return [tope(s) for s in strings]
-
-
-HEX_STRINGS = ("+++", "+-+", "+--", "---", "-+-", "-++")
-
-
-def hexagon():
-    return build_tope_set(topes(*HEX_STRINGS))
-
-
-def hexagon_cycle():
-    return build_symmetric_cycle(hexagon(), topes(*HEX_STRINGS))
+from conftest import HEX_STRINGS, STRANDED_STRINGS, hexagon, hexagon_cycle, tope, topes
 
 
 class TestBuildValidation:
@@ -118,7 +99,7 @@ class TestCycleStructure:
                 assert sorted(seq) == list(range(1, cyc.t + 1))
 
     def test_l_sequence_hexagon(self):
-        # from +++ the smallest flip first: element 2, then 3, then 1
+        # the listing +++ +-+ +-- --- flips element 2, then 3, then 1
         assert hexagon_cycle().l_sequence == (2, 3, 1)
 
     def test_last_flip_sign_is_shared(self, zoo):
@@ -317,10 +298,11 @@ class TestFindCycle:
                 assert find_symmetric_cycle(inst.tope_set, T).vertices[0] == T
 
     def test_no_cycle_found(self):
-        # raw tope set whose graph strands the root in a two-vertex pocket
-        pocket = TopeSet(3, tuple(sorted(topes("+++", "++-", "---", "--+"))))
-        with pytest.raises(NoCycleFound):
-            find_symmetric_cycle(pocket, tope("+++"))
+        # a validated tope set with a member on no symmetric cycle
+        stranded = build_tope_set(topes(*STRANDED_STRINGS))
+        with pytest.raises(NoCycleFound) as exc:
+            find_symmetric_cycle(stranded, tope("--+--"))
+        assert str(exc.value) == "no symmetric cycle passes through --+--"
 
 
 class TestReorientCycle:

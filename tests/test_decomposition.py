@@ -1,5 +1,6 @@
 """Cycle sign matrices, the doubled inverse, and minimal decompositions."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,14 +13,13 @@ from topecom import (
     DeterminantMismatch,
     NonTopeInput,
     NotInTopeSet,
+    SizeBoundExceeded,
     SymmetricCycle,
     Tope,
     TopecomError,
     VerificationFailed,
     bareiss_determinant,
-    brute_force_decompose,
     build_tope_set,
-    coordinates,
     cycle_determinant,
     decompose,
     decompose_via_poset,
@@ -27,26 +27,24 @@ from topecom import (
     doubled_inverse,
     enumerate_cycles,
     find_symmetric_cycle,
+    positive_tope,
     sign_matrix,
     tope_sum,
 )
 from topecom import decomposition
+from topecom.decomposition import BRUTE_FORCE_BOUND
 
+from conftest import hexagon, hexagon_cycle, tope, topes
 
-def tope(s: str) -> Tope:
-    return Tope.from_string(s)
-
-
-def topes(*strings):
-    return [tope(s) for s in strings]
-
-
-def hexagon():
-    return build_tope_set(topes("+++", "+-+", "+--", "---", "-+-", "-++"))
-
-
-def hexagon_cycle():
-    return find_symmetric_cycle(hexagon(), tope("+++"))
+# The routes that take (cycle, vector) and check the vector first.
+ROUTES = [
+    pytest.param(decompose, id="decompose"),
+    pytest.param(decompose_via_reorientation, id="decompose_via_reorientation"),
+    pytest.param(
+        lambda cycle, vector: BruteForceOracle(cycle).decompose(vector),
+        id="brute_force_decompose",
+    ),
+]
 
 
 def all_sign_vectors(t):
@@ -92,7 +90,7 @@ class TestBareiss:
 
 class TestSignMatrix:
     def test_hexagon_matrix(self):
-        cyc = hexagon_cycle()
+        cyc = find_symmetric_cycle(hexagon(), tope("+++"))
         assert cyc.l_sequence == (1, 3, 2)
         assert sign_matrix(cyc) == ((1, 1, 1), (-1, 1, 1), (-1, 1, -1))
 
@@ -126,7 +124,8 @@ class TestSignMatrix:
 
 class TestDoubledInverse:
     def test_hexagon_golden(self):
-        assert doubled_inverse(hexagon_cycle()) == (
+        cyc = find_symmetric_cycle(hexagon(), tope("+++"))
+        assert doubled_inverse(cyc) == (
             (1, -1, 0),
             (1, 0, 1),
             (0, 1, -1),
@@ -185,11 +184,7 @@ class TestDoubledInverse:
             for inst in zoo
             for cyc in enumerate_cycles(inst.tope_set, budget=10).cycles
         ]
-        answers = [
-            (coordinates(cyc, v), decompose(cyc, v).members)
-            for cyc in cycles
-            for v in cyc.carrier.topes[:4]
-        ]
+        answers = [decompose(cyc, v) for cyc in cycles for v in cyc.carrier.topes[:4]]
 
         def refuse(*args):
             raise AssertionError("determinant recomputed")
@@ -197,9 +192,7 @@ class TestDoubledInverse:
         monkeypatch.setattr(decomposition, "cycle_determinant", refuse)
         monkeypatch.setattr(decomposition, "bareiss_determinant", refuse)
         assert answers == [
-            (coordinates(cyc, v), decompose(cyc, v).members)
-            for cyc in cycles
-            for v in cyc.carrier.topes[:4]
+            decompose(cyc, v) for cyc in cycles for v in cyc.carrier.topes[:4]
         ]
 
     def test_rows_have_two_entries(self, demo):
@@ -216,8 +209,9 @@ class TestCoordinates:
     def test_values_and_reconstruction(self, zoo):
         for inst in zoo:
             for cyc in enumerate_cycles(inst.tope_set, budget=5).cycles:
+                dec = CycleDecomposer(cyc)
                 for target in cyc.carrier:
-                    x = coordinates(cyc, target)
+                    x = dec.coordinates(target)
                     assert all(v in (-1, 0, 1) for v in x)
                     assert sum(x) in (-1, 1)
                     rebuilt = [
@@ -228,13 +222,13 @@ class TestCoordinates:
 
     def test_base_is_a_standard_vector(self, demo):
         for cyc in demo.cycles:
-            x = coordinates(cyc, cyc.base)
+            x = CycleDecomposer(cyc).coordinates(cyc.base)
             assert x[0] == 1
             assert all(v == 0 for v in x[1:])
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            coordinates(hexagon_cycle(), tope("++++"))
+            CycleDecomposer(hexagon_cycle()).coordinates(tope("++++"))
 
 
 class TestDecompose:
@@ -265,26 +259,19 @@ class TestDecompose:
 
     def test_non_member_targets(self):
         cyc = hexagon_cycle()
+        oracle = BruteForceOracle(cyc)
         for target in all_sign_vectors(3):
             dec = decompose(cyc, target)
             assert tope_sum(dec.members) == target.entries
-            assert dec.members == brute_force_decompose(cyc, target)
+            assert dec.members == oracle.decompose(target)
             assert dec.members == decompose_via_reorientation(cyc, target)
 
-    @pytest.mark.parametrize(
-        "route",
-        [coordinates, decompose, decompose_via_reorientation, brute_force_decompose],
-        ids=lambda route: route.__name__,
-    )
+    @pytest.mark.parametrize("route", ROUTES)
     def test_wrong_length(self, route):
         with pytest.raises(ValueError, match="vector has 4 signs, cycle has t = 3"):
             route(hexagon_cycle(), tope("++++"))
 
-    @pytest.mark.parametrize(
-        "route",
-        [coordinates, decompose, decompose_via_reorientation, brute_force_decompose],
-        ids=lambda route: route.__name__,
-    )
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("vector", [(0, 1, 1, 1, 1), (1, 1, 1, 1, 2), (3, 1, 1, 1, 1)])
     def test_entries_other_than_plus_minus_one(self, demo, route, vector):
         # floor division in the closed form turns the first two into {-1,0,1}
@@ -297,7 +284,7 @@ class TestDecompose:
         cyc = demo.cycles[1]
         dec = CycleDecomposer(cyc)
         for target in demo.carrier:
-            assert dec.coordinates(target) == coordinates(cyc, target)
+            assert dec.coordinates(target) == decompose(cyc, target).coordinates
             assert dec.decompose(target).members == decompose(cyc, target).members
 
 
@@ -305,11 +292,12 @@ class TestAgreementOfAllRoutes:
     def test_four_way_agreement_on_members(self, demo):
         p_carrier = demo.carrier
         for cyc in demo.cycles:
+            oracle = BruteForceOracle(cyc)
             for base in p_carrier:
                 closed = decompose(cyc, base).members
                 assert closed == decompose_via_poset(cyc, base)
                 assert closed == decompose_via_reorientation(cyc, base)
-                assert closed == brute_force_decompose(cyc, base)
+                assert closed == oracle.decompose(base)
 
     def test_poset_route_requires_membership(self):
         with pytest.raises(NotInTopeSet):
@@ -320,3 +308,28 @@ class TestAgreementOfAllRoutes:
         oracle = BruteForceOracle(cyc)
         for target in all_sign_vectors(3):
             assert oracle.decompose(target) == decompose(cyc, target).members
+
+
+class TestBruteForceBound:
+    def test_refused_before_the_table_is_built(self, monkeypatch):
+        # rank 2: the cycle through +...+ flips 1, 2, ..., t in turn
+        t = BRUTE_FORCE_BOUND + 1
+        half = [Tope([-1] * k + [1] * (t - k)) for k in range(t)]
+        carrier = build_tope_set(half + [-v for v in half])
+        cyc = SymmetricCycle(positive_tope(t), tuple(range(1, t + 1)), carrier)
+
+        def refuse(*args):
+            raise AssertionError("brute-force table started")
+
+        monkeypatch.setattr(decomposition, "sign_matrix", refuse)
+        with pytest.raises(SizeBoundExceeded) as exc:
+            BruteForceOracle(cyc)
+        assert (exc.value.size, exc.value.bound) == (t, BRUTE_FORCE_BOUND)
+        assert str(exc.value) == f"t = {t} exceeds the brute-force bound {BRUTE_FORCE_BOUND}"
+
+    def test_bench_and_zoo_stay_under_the_bound(self, zoo, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from worker import StreamRunner
+
+        assert StreamRunner.brute_max_t <= BRUTE_FORCE_BOUND
+        assert max(inst.tope_set.t for inst in zoo) <= BRUTE_FORCE_BOUND

@@ -17,9 +17,7 @@ from topecom import (
     separation_set,
 )
 
-
-def tope(s: str) -> Tope:
-    return Tope.from_string(s)
+from conftest import hexagon, tope
 
 
 def covers_by_betweenness(poset, pool):
@@ -58,15 +56,12 @@ def symmetric_t4_sets():
 
 
 def hexagon_poset():
-    ts = build_tope_set(
-        [tope(s) for s in ("+++", "+-+", "+--", "---", "-+-", "-++")]
-    )
-    return BasedPoset(ts, tope("+++"))
+    return BasedPoset(hexagon(), tope("+++"))
 
 
 class TestOrder:
     def test_base_must_be_a_member(self):
-        ts = build_tope_set([tope(s) for s in ("+++", "+-+", "+--", "---", "-+-", "-++")])
+        ts = hexagon()
         with pytest.raises(NotInTopeSet):
             BasedPoset(ts, tope("++-"))
 
@@ -133,8 +128,8 @@ class TestRank:
 class TestExtremalElements:
     def test_minimal_of_whole_carrier_is_base(self):
         p = hexagon_poset()
-        assert p.minimal_elements() == frozenset({p.base})
-        assert p.maximal_elements() == frozenset({-p.base})
+        assert p.minimal_elements(p.carrier) == frozenset({p.base})
+        assert p.maximal_elements(p.carrier) == frozenset({-p.base})
 
     def test_cycle_minima_at_demo_base(self, demo):
         p = BasedPoset(demo.carrier, demo.base)

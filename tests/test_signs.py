@@ -15,14 +15,12 @@ from topecom import (
     tope_sum,
 )
 
+from conftest import tope
+
 entries = st.sampled_from((-1, 1))
 topes = st.integers(min_value=2, max_value=9).flatmap(
     lambda t: st.tuples(*([entries] * t)).map(Tope)
 )
-
-
-def tope(s: str) -> Tope:
-    return Tope.from_string(s)
 
 
 class TestTope:
@@ -171,8 +169,7 @@ class TestTopeSum:
         triple = [tope("--+++"), tope("++--+"), tope("++++-")]
         assert tope_sum(triple) == (1, 1, 1, 1, 1)
 
-    def test_empty_sum_needs_t(self):
-        assert tope_sum([], t=3) == (0, 0, 0)
+    def test_empty_sum_is_refused(self):
         with pytest.raises(ValueError):
             tope_sum([])
 

@@ -14,7 +14,6 @@ from topecom import (
     SymmetryViolation,
     TooSmall,
     Tope,
-    TopeSet,
     VerificationFailed,
     adjacency_edges,
     build_tope_set,
@@ -24,18 +23,14 @@ from topecom import (
     is_acyclic,
     negative_part,
     parse_topes_text,
-    positive_tope,
     read_topes_file,
     reorient_set,
     write_topes_file,
 )
 
+from conftest import HEX_STRINGS, hexagon, topes
 
-def topes(*strings):
-    return [Tope.from_string(s) for s in strings]
-
-
-HEXAGON = topes("+++", "+-+", "+--", "---", "-+-", "-++")
+HEXAGON = topes(*HEX_STRINGS)
 
 
 def rank2_topes(t, seed):
@@ -112,8 +107,6 @@ class TestBuildValidation:
     def test_mixed_lengths(self):
         with pytest.raises(ValueError):
             build_tope_set(topes("++", "+++", "--", "---"))
-        with pytest.raises(ValueError):
-            build_tope_set(HEXAGON, t=4)
 
     def test_symmetry_violation(self):
         with pytest.raises(SymmetryViolation) as exc:
@@ -174,7 +167,7 @@ class TestBuildValidation:
 
 class TestGraph:
     def test_hexagon_is_a_single_cycle(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         edges = adjacency_edges(ts)
         assert len(edges) == 6
         degree = {T: 0 for T in ts}
@@ -185,7 +178,7 @@ class TestGraph:
         assert set(degree.values()) == {2}
 
     def test_edges_are_sorted_and_oriented(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         edges = adjacency_edges(ts)
         assert edges == sorted(edges)
         assert all(a < b for a, b in edges)
@@ -193,9 +186,7 @@ class TestGraph:
     def test_partial_cube_diagnostic_on_zoo(self, zoo):
         for inst in zoo:
             if len(inst.tope_set) <= 64:
-                build_tope_set(
-                    inst.tope_set.topes, t=inst.tope_set.t, check_partial_cube=True
-                )
+                build_tope_set(inst.tope_set.topes, check_partial_cube=True)
 
     def test_partial_cube_diagnostic_can_fail(self):
         # drop both midpoints between ++++ and ++-- (and their negations):
@@ -213,7 +204,7 @@ class TestGraph:
             build_tope_set(bad, check_partial_cube=True)
 
     def test_require_membership(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         ts.require(Tope.from_string("+++"))
         with pytest.raises(NotInTopeSet):
             ts.require(Tope.from_string("++-"), "test")
@@ -239,7 +230,7 @@ class TestGraph:
         assert all(len(nbrs) == 2 for nbrs in ts.flip_neighbors.values())
 
     def test_flip_neighbors_match_edges(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         for T, nbrs in ts.flip_neighbors.items():
             for e, nbr in nbrs.items():
                 assert T.flip(e) == nbr
@@ -248,7 +239,7 @@ class TestGraph:
 
 class TestHalfspace:
     def test_hexagon_positive_halfspace(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         assert halfspace(ts, 1) == frozenset(topes("+++", "+-+", "+--"))
         assert halfspace(ts, 1, sign=-1) == frozenset(topes("---", "-+-", "-++"))
 
@@ -261,7 +252,7 @@ class TestHalfspace:
                 assert halfspace(ts, e, sign=-1) == frozenset(-T for T in pos)
 
     def test_bad_arguments(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         with pytest.raises(ValueError):
             halfspace(ts, 0)
         with pytest.raises(ValueError):
@@ -272,7 +263,7 @@ class TestHalfspace:
 
 class TestReorientSet:
     def test_involution(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         assert reorient_set(reorient_set(ts, {1, 3}), {1, 3}) == ts
 
     def test_preserves_graph_size(self, zoo):
@@ -283,17 +274,17 @@ class TestReorientSet:
             assert len(adjacency_edges(flipped)) == len(adjacency_edges(ts))
 
     def test_acyclic_after_reorienting_negative_part(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         for T in ts:
             assert is_acyclic(reorient_set(ts, negative_part(T)))
 
     def test_hexagon_acyclicity_flips(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         assert is_acyclic(ts)
         assert not is_acyclic(reorient_set(ts, {3}))
 
     def test_bad_elements(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         with pytest.raises(ValueError):
             reorient_set(ts, {0})
         with pytest.raises(ValueError):
@@ -336,13 +327,13 @@ class TestTopesIO:
             parse_topes_text("t 3\n+++\n++++\n")
 
     def test_file_io(self, tmp_path):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         path = tmp_path / "hex.topes"
         write_topes_file(path, ts)
         assert read_topes_file(path) == ts
 
     def test_format_is_sorted_and_stable(self):
-        ts = build_tope_set(HEXAGON)
+        ts = hexagon()
         text = format_topes_text(ts)
         assert text == format_topes_text(build_tope_set(reversed(HEXAGON)))
         body = [ln for ln in text.splitlines() if not ln.startswith("t ")]
