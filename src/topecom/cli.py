@@ -57,8 +57,16 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _tope_strings(topes) -> list[str]:
-    return [str(tp) for tp in sorted(topes)]
+def _tope_strings(topes, name=str) -> list[str]:
+    return [name(tp) for tp in sorted(topes)]
+
+
+class _Names(dict):
+    """Sign strings of the topes a command prints, each formatted once."""
+
+    def __missing__(self, tope: Tope) -> str:
+        text = self[tope] = str(tope)
+        return text
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -115,10 +123,8 @@ def _cmd_graph(args) -> str:
 
 def _cycle_for_root(carrier: TopeSet, root_text: str | None) -> SymmetricCycle:
     if root_text is None:
-        root = carrier.topes[0]
-    else:
-        root = _parse_tope(root_text, "--cycle-base")
-    return find_symmetric_cycle(carrier, root)
+        return find_symmetric_cycle(carrier)
+    return find_symmetric_cycle(carrier, _parse_tope(root_text, "--cycle-base"))
 
 
 def _cmd_poset(args) -> str:
@@ -129,21 +135,22 @@ def _cmd_poset(args) -> str:
     highlight: frozenset[Tope] = frozenset()
     if args.cycle_base:
         highlight = _cycle_for_root(ts, args.cycle_base).vertex_set
+    name = _Names().__getitem__
     if args.format == "json":
         return _json(
             {
-                "base": str(base),
-                "edges": [[str(a), str(b)] for a, b in edges],
-                "highlight": _tope_strings(highlight),
+                "base": name(base),
+                "edges": [[name(a), name(b)] for a, b in edges],
+                "highlight": _tope_strings(highlight, name),
             }
         )
     if args.format == "text":
-        return "".join(f"{a} < {b}\n" for a, b in edges)
+        return "".join(f"{name(a)} < {name(b)}\n" for a, b in edges)
     lines = ["digraph tope_poset {", "  rankdir=BT;", "  node [shape=box];"]
     for tp in ts.topes:
         attrs = ' style=filled fillcolor="lightgrey"' if tp in highlight else ""
-        lines.append(f'  "{tp}" [{attrs.strip()}];' if attrs else f'  "{tp}";')
-    lines.extend(f'  "{a}" -> "{b}";' for a, b in edges)
+        lines.append(f'  "{name(tp)}" [{attrs.strip()}];' if attrs else f'  "{name(tp)}";')
+    lines.extend(f'  "{name(a)}" -> "{name(b)}";' for a, b in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -152,13 +159,14 @@ def _cmd_cycles(args) -> str:
     ts = _load_tope_set(args)
     base = _parse_tope(args.base, "--base") if args.base else None
     enum = enumerate_cycles(ts, base, args.budget)
+    name = _Names().__getitem__
     if args.format == "json":
         return _json(
             {
                 "cycles": [
                     {
-                        "base": str(c.base),
-                        "vertices": [str(v) for v in c.vertices],
+                        "base": name(c.base),
+                        "vertices": [name(v) for v in c.vertices],
                         "l_sequence": list(c.l_sequence),
                     }
                     for c in enum.cycles
@@ -167,7 +175,7 @@ def _cmd_cycles(args) -> str:
             }
         )
     lines = [
-        f"cycle {k}: " + " ".join(str(v) for v in cyc.vertices)
+        f"cycle {k}: " + " ".join(map(name, cyc.vertices))
         for k, cyc in enumerate(enum.cycles, 1)
     ]
     lines.append(f"truncated: {'true' if enum.truncated else 'false'}")
@@ -179,26 +187,27 @@ def _cmd_decompose(args) -> str:
     target = _parse_tope(args.tope, "--tope")
     cycle = _cycle_for_root(ts, args.cycle_base)
     result = decompose(cycle, target)
+    name = _Names().__getitem__
     if args.format == "json":
         return _json(
             {
                 "target": str(result.target),
                 "x": list(result.coordinates),
-                "q_set": _tope_strings(result.members),
+                "q_set": _tope_strings(result.members, name),
             }
         )
     lines = [
         f"target: {result.target}",
-        "cycle:  " + " ".join(str(v) for v in cycle.vertices),
+        "cycle:  " + " ".join(map(name, cycle.vertices)),
         f"x:      {list(result.coordinates)}",
-        "q_set:  " + " ".join(_tope_strings(result.members)),
+        "q_set:  " + " ".join(_tope_strings(result.members, name)),
     ]
     return "\n".join(lines) + "\n"
 
 
-def _committee_json(candidate: CommitteeCandidate) -> dict:
+def _committee_json(candidate: CommitteeCandidate, name) -> dict:
     return {
-        "members": _tope_strings(candidate.members),
+        "members": _tope_strings(candidate.members, name),
         "sum": list(committee_sum(candidate)),
         "critical": True,
         "minimal": True,
@@ -208,15 +217,16 @@ def _committee_json(candidate: CommitteeCandidate) -> dict:
 def _cmd_committee(args) -> str:
     ts = _load_tope_set(args)
     result = enumerate_critical(ts, args.budget, all_bases=args.all_bases)
+    name = _Names().__getitem__
     if args.format == "json":
         return _json(
             {
-                "committees": [_committee_json(c) for c in result.committees],
+                "committees": [_committee_json(c, name) for c in result.committees],
                 "truncated": result.truncated,
             }
         )
     lines = [
-        f"committee {k}: " + " ".join(_tope_strings(c.members))
+        f"committee {k}: " + " ".join(_tope_strings(c.members, name))
         for k, c in enumerate(result.committees, 1)
     ]
     lines.append(f"truncated: {'true' if result.truncated else 'false'}")
@@ -260,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decompose", _cmd_decompose, ("text", "json"), "decompose a tope over a cycle")
     p.add_argument("--tope", required=True, help="target tope string")
     p.add_argument(
-        "--cycle-base", help="cycle root (default: smallest member)"
+        "--cycle-base",
+        help="cycle root (default: the smallest member on any symmetric cycle)",
     )
 
     p = add("committee", _cmd_committee, ("text", "json"), "critical committees from cycles")

@@ -4,9 +4,24 @@ A committee is a set of topes whose componentwise sum is at least 1
 everywhere, so a strict majority of members lies in every positive
 halfspace. A committee is minimal when no nonempty proper subset is a
 committee, and critical when on top of that its sum equals the all-ones
-vector exactly. For a tope set containing the all-ones tope, every
-symmetric cycle hands us a critical committee: the vertices with maximal
-positive parts.
+vector exactly.
+
+The theorem behind :func:`critical_from_cycle`: with B the all-ones tope in
+the carrier, the minimal vertices bmin V(R) of a symmetric cycle R in the
+tope poset based at B (the vertices with inclusion-maximal positive parts)
+form a critical committee. They can be read off the l-sequence in O(t).
+With L = l twice over, vertex k (0 <= k < 2t) is entered by flipping L[k-1]
+(for k = 0 the closing step, l_t) and left by flipping L[k], and it lies in
+bmin V(R) exactly when it is + at both.
+
+Proof: say vertex k is + at both. Any other vertex is reached from it by an
+arc of at most t steps, and those steps flip distinct elements. The first
+of them is L[k] or L[k-1], both + at vertex k, and no later step of the arc
+flips it back, so the other vertex is - there and its positive part does
+not contain vertex k's. Say instead vertex k is - at one of the two. Then
+the neighbor across that flip is closer to B: its positive part strictly
+enlarges vertex k's. :func:`max_positive` computes the same set by
+comparing every pair of vertices and is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +31,10 @@ from itertools import combinations
 
 from .cycles import CycleEnumeration, SymmetricCycle, enumerate_cycles
 from .errors import NotAcyclic, SizeBoundExceeded, VerificationFailed
-from .posets import max_positive
-from .signs import Tope, distance, positive_tope, tope_sum
+# Unused here since the committee is read off the l-sequence, but kept
+# importable as committees.max_positive: bench/tracing.py wraps that name.
+from .posets import max_positive  # noqa: F401
+from .signs import Tope, positive_tope, tope_sum
 from .topesets import TopeSet, is_acyclic
 
 __all__ = [
@@ -103,24 +120,36 @@ def _require_acyclic(carrier: TopeSet) -> None:
         raise NotAcyclic("the all-ones tope is not a member")
 
 
+def _bottom_vertices(cycle: SymmetricCycle) -> frozenset[Tope]:
+    """bmin V(R) at the all-ones tope: the vertices entered and left by
+    flipping a sign that is + there (the module docstring has the proof)."""
+    l2 = cycle.l_sequence * 2
+    entering = l2[-1:] + l2[:-1]
+    return frozenset(
+        v
+        for v, e_in, e_out in zip(cycle.vertices, entering, l2)
+        if v[e_in - 1] == 1 and v[e_out - 1] == 1
+    )
+
+
+def _verified_committee(carrier: TopeSet, members: frozenset[Tope]) -> CommitteeCandidate:
+    candidate = CommitteeCandidate(members=members, carrier=carrier)
+    got = committee_sum(candidate)
+    if got != (1,) * carrier.t:
+        raise VerificationFailed(f"cycle committee sums to {got}, expected all ones")
+    return candidate
+
+
 def critical_from_cycle(cycle: SymmetricCycle) -> CommitteeCandidate:
     """The critical committee a symmetric cycle induces.
 
-    Takes the cycle vertices with inclusion-maximal positive parts; their
-    sum is verified to be exactly the all-ones vector before returning.
-    Requires the cycle's carrier to contain the all-ones tope.
+    Takes the cycle vertices with inclusion-maximal positive parts, read off
+    the l-sequence in O(t); their sum is verified to be exactly the all-ones
+    vector before returning. Requires the cycle's carrier to contain the
+    all-ones tope.
     """
     _require_acyclic(cycle.carrier)
-    candidate = CommitteeCandidate(
-        members=max_positive(cycle.vertex_set), carrier=cycle.carrier
-    )
-    ones = (1,) * cycle.t
-    got = committee_sum(candidate)
-    if got != ones:
-        raise VerificationFailed(
-            f"cycle committee sums to {got}, expected all ones"
-        )
-    return candidate
+    return _verified_committee(cycle.carrier, _bottom_vertices(cycle))
 
 
 def two_path_witness(cycle: SymmetricCycle, vertex: Tope) -> bool:
@@ -132,13 +161,8 @@ def two_path_witness(cycle: SymmetricCycle, vertex: Tope) -> bool:
     Requires the cycle's carrier to contain the all-ones tope.
     """
     _require_acyclic(cycle.carrier)
-    idx = cycle.index(vertex)
-    verts = cycle.vertices
-    ones = positive_tope(cycle.t)
-    here = distance(ones, vertex)
-    before = distance(ones, verts[idx - 1])
-    after = distance(ones, verts[(idx + 1) % len(verts)])
-    return before == here + 1 and after == here + 1
+    cycle.index(vertex)  # raises NotOnCycle for a stranger
+    return vertex in _bottom_vertices(cycle)
 
 
 @dataclass(frozen=True)
@@ -171,13 +195,14 @@ def enumerate_critical(
     enum: CycleEnumeration = enumerate_cycles(carrier, root, cycle_budget)
     found: dict[frozenset[Tope], CommitteeCandidate] = {}
     for cyc in enum.cycles:
-        candidate = critical_from_cycle(cyc)
-        if candidate.members in found:
+        members = _bottom_vertices(cyc)
+        if members in found:
             continue
+        candidate = _verified_committee(carrier, members)
         if not is_critical(candidate):
             raise VerificationFailed(
                 f"cycle committee {sorted(candidate.members)} is not critical"
             )
-        found[candidate.members] = candidate
+        found[members] = candidate
     ordered = sorted(found.values(), key=lambda c: (len(c), c.sorted_members()))
     return CommitteeEnumeration(tuple(ordered), enum.truncated)

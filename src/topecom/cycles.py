@@ -140,20 +140,20 @@ def build_symmetric_cycle(carrier: TopeSet, vertices) -> SymmetricCycle:
 
 
 def _paths_through(
-    carrier: TopeSet, base: Tope, least: bool = False
+    carrier: TopeSet, base: Tope, low: dict[Tope, Tope] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Flip sequences of the paths base -> -base flipping each element once.
 
     Yields them in lexicographic order. The walk keeps its own stack, so
-    depth t costs no recursion; flips are pushed in descending order so the
-    smallest pops first. Each element flips at most once, so e is still
-    unflipped exactly when the current vertex agrees with ``base`` at e, and
-    t flips reach -base. With
-    ``least`` it walks only the cycles whose smallest vertex is ``base``:
-    it never steps onto a v with v < base or -v < base, and yields nothing
-    when -base < base.
+    depth t costs no recursion; each node's flips are pushed in the reverse
+    of the index's ascending order, so the smallest pops first. Each element
+    flips at most once, so e is still unflipped exactly when the current
+    vertex agrees with ``base`` at e, and t flips reach -base. Given ``low``,
+    which maps each member v to min(v, -v), it walks only the cycles whose
+    smallest vertex is ``base``: it never steps onto a v with v < base or
+    -v < base, and yields nothing when -base < base.
     """
-    if least and -base < base:
+    if low is not None and low[base] < base:
         return
     t = carrier.t
     nbrs = carrier.flip_neighbors
@@ -163,16 +163,14 @@ def _paths_through(
         if len(flips) == t:
             yield flips
             continue
-        steps = nbrs[here]
-        for e in sorted(steps, reverse=True):
-            nxt = steps[e]
-            if here[e - 1] != base[e - 1] or (least and (nxt < base or -nxt < base)):
+        for e, nxt in reversed(nbrs[here].items()):
+            if here[e - 1] != base[e - 1] or (low is not None and low[nxt] < base):
                 continue
             stack.append((nxt, flips + (e,)))
 
 
 def _cycles_through(
-    carrier: TopeSet, base: Tope, least: bool = False
+    carrier: TopeSet, base: Tope, low: dict[Tope, Tope] | None = None
 ) -> Iterator[SymmetricCycle]:
     """Distinct cycles through ``base``, each in its lex-least orientation.
 
@@ -181,9 +179,20 @@ def _cycles_through(
     once per direction; the reverse walk flips l_t .. l_1. Keeping the walk
     whose first flip is the smaller keeps the one found first.
     """
-    for flips in _paths_through(carrier, base, least):
+    for flips in _paths_through(carrier, base, low):
         if flips[0] <= flips[-1]:  # equal only when t = 1: one walk, one direction
             yield SymmetricCycle(base, flips, carrier)
+
+
+def _cycles_from(carrier: TopeSet, base: Tope | None) -> Iterator[SymmetricCycle]:
+    """The cycles through ``base``, rooted there; with no base, every cycle
+    once, rooted at its smallest vertex, roots in sorted order and then by
+    l-sequence."""
+    if base is not None:
+        carrier.require(base, "cycle root")
+        return _cycles_through(carrier, base)
+    low = {v: min(v, -v) for v in carrier.topes}
+    return chain.from_iterable(_cycles_through(carrier, root, low) for root in carrier.topes)
 
 
 def enumerate_cycles(
@@ -197,25 +206,24 @@ def enumerate_cycles(
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if base is not None:
-        carrier.require(base, "cycle root")
-        source = _cycles_through(carrier, base)
-    else:
-        # Roots in sorted order: by smallest vertex, then by l-sequence.
-        source = chain.from_iterable(
-            _cycles_through(carrier, root, least=True) for root in carrier.topes
-        )
-    found = list(islice(source, budget + 1))
+    found = list(islice(_cycles_from(carrier, base), budget + 1))
     if len(found) > budget:
         return CycleEnumeration(tuple(found[:budget]), True)
     return CycleEnumeration(tuple(found), False)
 
 
-def find_symmetric_cycle(carrier: TopeSet, base: Tope) -> SymmetricCycle:
-    """The lexicographically first symmetric cycle through ``base``."""
-    carrier.require(base, "cycle root")
-    for cyc in _cycles_through(carrier, base):
+def find_symmetric_cycle(carrier: TopeSet, base: Tope | None = None) -> SymmetricCycle:
+    """The lexicographically first symmetric cycle through ``base``.
+
+    Without a base, the first cycle :func:`enumerate_cycles` lists: it is
+    rooted at the smallest member that lies on any cycle, so it is the first
+    cycle through ``carrier.topes[0]`` whenever one exists. The walk stops
+    at that cycle.
+    """
+    for cyc in _cycles_from(carrier, base):
         return cyc
+    if base is None:
+        raise NoCycleFound("the tope set has no symmetric cycle")
     raise NoCycleFound(f"no symmetric cycle passes through {base}")
 
 

@@ -108,7 +108,8 @@ class DuplicateVertex(TopecomError):
 
 
 class NoCycleFound(TopecomError):
-    """No symmetric cycle passes through the requested base.
+    """No symmetric cycle passes through the requested base, or, when no
+    base is given, the tope set has none at all.
 
     Valid input can reach this: :func:`build_tope_set` does not ask every
     member to lie on a symmetric cycle, and 17920 of the 39549 symmetric

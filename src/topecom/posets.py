@@ -58,13 +58,33 @@ class BasedPoset:
         subset: exact on any tope set, realizable or not. Covers are taken
         inside the subset, so this is the Hasse diagram of the induced order,
         not a restriction of the carrier's diagram.
+
+        Members are numbered by rank, and col[e] is the bitset of those that
+        differ from the base at e. The strict up-set U_i of member i is the
+        AND of col[e] over sep(base, i), less i itself. Its lowest-ranked
+        member is a cover; dropping that cover's up-set and repeating finds
+        the next, so the covers cost one bitset step each.
         """
-        pool = sorted(self.carrier.topes if among is None else set(among))
+        pool = self.carrier.topes if among is None else set(among)
         seps = {tp: self._sep_of(tp) for tp in pool}
+        ranked = sorted(pool, key=lambda tp: (len(seps[tp]), tp))
+        col = [0] * (self.carrier.t + 1)
+        for i, tp in enumerate(ranked):
+            for e in seps[tp]:
+                col[e] |= 1 << i
+        everyone = (1 << len(ranked)) - 1
+        up = []
+        for i, tp in enumerate(ranked):
+            above = everyone
+            for e in seps[tp]:
+                above &= col[e]
+            up.append(above & ~(1 << i))
         edges = []
-        for lo in pool:
-            above = [hi for hi in pool if seps[lo] < seps[hi]]
-            edges.extend((lo, hi) for hi in _inclusion_minimal(above, seps.__getitem__))
+        for lo, above in zip(ranked, up):
+            while above:
+                j = (above & -above).bit_length() - 1
+                edges.append((lo, ranked[j]))
+                above &= ~(up[j] | 1 << j)
         return sorted(edges)
 
 

@@ -65,8 +65,9 @@ class TopeSet:
     def flip_neighbors(self) -> dict[Tope, dict[int, Tope]]:
         """For each tope, the map element -> neighbor obtained by flipping it.
 
-        Only flips that land inside the set appear. Computed once and reused
-        by every graph walk, so lookups stay O(1). Each member is coded once
+        Only flips that land inside the set appear, keyed in ascending order
+        of e, which the cycle walk relies on. Computed once and reused by
+        every graph walk, so lookups stay O(1). Each member is coded once
         as an int with bit t - e set when entry e is +, so flipping e is an
         XOR with that bit and one dict lookup.
         """

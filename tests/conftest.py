@@ -4,8 +4,8 @@ The zoo covers the square (t=2), the hexagon (t=3), the bundled demo
 instance (t=5), five random generic rank-3 arrangements, and two random
 rank-4 arrangements. Random instances are rejection-sampled from fixed
 seeds, so every run sees identical data. The plain builders ``tope``,
-``topes``, ``hexagon`` and ``hexagon_cycle`` are imported by the test
-modules directly.
+``topes``, ``hexagon``, ``hexagon_cycle`` and ``symmetric_t4_sets`` are
+imported by the test modules directly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -57,6 +57,23 @@ def topes(*strings):
 
 def hexagon() -> TopeSet:
     return build_tope_set(topes(*HEX_STRINGS))
+
+
+def symmetric_t4_sets():
+    """The symmetric sets of length-4 sign vectors that build_tope_set accepts.
+
+    Each is a union of antipodal pairs; many are not tope sets of any
+    oriented matroid.
+    """
+    pairs = [Tope(v) for v in product((-1, 1), repeat=4) if v[0] == -1]
+    accepted = []
+    for mask in range(1, 1 << len(pairs)):
+        chosen = [tp for i, tp in enumerate(pairs) if mask >> i & 1]
+        try:
+            accepted.append(build_tope_set(chosen + [-tp for tp in chosen]))
+        except TopecomError:
+            pass
+    return accepted
 
 
 def hexagon_cycle():

@@ -17,6 +17,19 @@ from topecom.cli import _merge_tope_flags, main
 
 from conftest import STRANDED_STRINGS, hexagon, topes
 
+# A validated t = 5 set whose smallest member lies on no symmetric cycle,
+# although the set has one.
+OFF_CYCLE_MINIMUM = (
+    "-----", "----+", "---++", "--++-", "--+++", "-+--+",
+    "+-++-", "++---", "++--+", "+++--", "++++-", "+++++",
+)
+# A validated t = 6 set with no symmetric cycle at all.
+NO_CYCLE_STRINGS = (
+    "---+--", "---+++", "--+---", "--++--", "--++++", "-+-+--", "-+-++-",
+    "-++---", "-++++-", "-+++++", "+-----", "+----+", "+--+++", "+-+--+",
+    "+-+-++", "++----", "++--++", "++-+++", "+++---", "+++-++",
+)
+
 
 @pytest.fixture(scope="session")
 def demo_arr_path():
@@ -314,6 +327,27 @@ class TestDecompose:
         assert code == 0
         assert out.startswith("target: +++")
         assert "q_set:  +++" in out
+
+    def test_default_root_skips_members_on_no_cycle(self, capsys, tmp_path):
+        # ----- lies on no symmetric cycle, but the set has one, rooted at ----+
+        path = str(tmp_path / "off-cycle.topes")
+        write_topes_file(path, build_tope_set(topes(*OFF_CYCLE_MINIMUM)))
+        code, out, _ = run(capsys, "cycles", "--topes", path)
+        assert code == 0
+        listed, truncated = out.splitlines()
+        assert truncated == "truncated: false"
+        code, out, err = run(capsys, "decompose", "--topes", path, "--tope", "+++++")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split()[1:] == listed.split()[2:]
+        assert listed.split()[2] == "----+"
+
+    def test_default_root_without_any_cycle_exits_one(self, capsys, tmp_path):
+        path = str(tmp_path / "acyclic-graph.topes")
+        write_topes_file(path, build_tope_set(topes(*NO_CYCLE_STRINGS)))
+        assert run(capsys, "cycles", "--topes", path)[1] == "truncated: false\n"
+        code, out, err = run(capsys, "decompose", "--topes", path, "--tope", "++++++")
+        assert (code, out) == (1, "")
+        assert err == "error: the tope set has no symmetric cycle\n"
 
     def test_tope_is_required(self, capsys, hexagon_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,11 @@
 """Committee verification and the cycle construction of critical ones."""
 
+from functools import cache
+from itertools import product
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topecom import (
     CommitteeCandidate,
@@ -8,6 +13,9 @@ from topecom import (
     NotInTopeSet,
     NotOnCycle,
     SizeBoundExceeded,
+    SymmetricCycle,
+    Tope,
+    build_tope_set,
     committee_sum,
     critical_from_cycle,
     enumerate_critical,
@@ -24,11 +32,16 @@ from topecom import (
     two_path_witness,
 )
 
-from conftest import hexagon, tope, topes
+from conftest import hexagon, symmetric_t4_sets, tope, topes
 
 
 def candidate(carrier, *strings):
     return CommitteeCandidate(frozenset(topes(*strings)), carrier)
+
+
+@cache
+def full_cube(t):
+    return build_tope_set(Tope(v) for v in product((-1, 1), repeat=t))
 
 
 class TestCandidate:
@@ -136,6 +149,34 @@ class TestCriticalFromCycle:
             for cyc in enumerate_cycles(ts, budget=5).cycles:
                 cand = critical_from_cycle(cyc)
                 assert cand.members == max_positive(cyc.vertex_set)
+
+    def test_members_match_max_positive_on_symmetric_t4_sets(self):
+        # most of these sets are no oriented matroid's tope set; the l-sequence
+        # reading must still agree with the pairwise scan on every cycle
+        walked = 0
+        for ts in symmetric_t4_sets():
+            if not is_acyclic(ts):
+                continue
+            for cyc in enumerate_cycles(ts, budget=1 << 20).cycles:
+                assert critical_from_cycle(cyc).members == max_positive(cyc.vertex_set)
+                walked += 1
+        assert walked == 288
+
+    @given(
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.sampled_from((1, -1)), min_size=t, max_size=t),
+                st.permutations(range(1, t + 1)),
+            )
+        )
+    )
+    def test_members_match_max_positive_on_the_cube(self, drawn):
+        start, flips = drawn
+        cyc = SymmetricCycle(Tope(start), tuple(flips), full_cube(len(start)))
+        members = max_positive(cyc.vertex_set)
+        assert critical_from_cycle(cyc).members == members
+        for v in cyc.vertices:
+            assert two_path_witness(cyc, v) == (v in members)
 
 
 class TestTwoPathWitness:

@@ -292,6 +292,13 @@ class TestFindCycle:
         enum = enumerate_cycles(demo.carrier, base=demo.base, budget=1)
         assert cyc == enum.cycles[0]
 
+    def test_without_base_returns_the_first_listed_cycle(self, zoo):
+        for inst in zoo:
+            ts = inst.tope_set
+            cyc = find_symmetric_cycle(ts)
+            assert cyc == enumerate_cycles(ts, budget=1).cycles[0]
+            assert cyc == find_symmetric_cycle(ts, ts.topes[0])
+
     def test_every_tope_lies_on_a_cycle(self, zoo):
         for inst in zoo:
             for T in inst.tope_set:

@@ -1,15 +1,14 @@
 """Base-anchored tope order: comparisons, ranks, extremal elements."""
 
 import random
-from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topecom import (
     BasedPoset,
     NotInTopeSet,
-    Tope,
-    TopecomError,
     adjacency_edges,
     build_tope_set,
     max_positive,
@@ -17,7 +16,7 @@ from topecom import (
     separation_set,
 )
 
-from conftest import hexagon, tope
+from conftest import hexagon, symmetric_t4_sets, tope
 
 
 def covers_by_betweenness(poset, pool):
@@ -36,23 +35,6 @@ def covers_by_betweenness(poset, pool):
             ):
                 edges.append((lo, hi))
     return sorted(edges)
-
-
-def symmetric_t4_sets():
-    """The symmetric sets of length-4 sign vectors that build_tope_set accepts.
-
-    Each is a union of antipodal pairs; many are not tope sets of any
-    oriented matroid.
-    """
-    pairs = [Tope(v) for v in product((-1, 1), repeat=4) if v[0] == -1]
-    accepted = []
-    for mask in range(1, 1 << len(pairs)):
-        chosen = [tp for i, tp in enumerate(pairs) if mask >> i & 1]
-        try:
-            accepted.append(build_tope_set(chosen + [-tp for tp in chosen]))
-        except TopecomError:
-            pass
-    return accepted
 
 
 def hexagon_poset():
@@ -228,6 +210,14 @@ class TestHasseEdges:
                 assert p.hasse_edges() == covers_by_betweenness(p, ts.topes), inst.name
                 among = rng.sample(ts.topes, len(ts) // 2)
                 assert p.hasse_edges(among) == covers_by_betweenness(p, among), inst.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_betweenness_on_drawn_subsets(self, zoo, data):
+        ts = data.draw(st.sampled_from(zoo)).tope_set
+        p = BasedPoset(ts, data.draw(st.sampled_from(ts.topes)))
+        among = data.draw(st.sets(st.sampled_from(ts.topes)))
+        assert p.hasse_edges(among) == covers_by_betweenness(p, among)
 
     def test_matches_betweenness_on_every_symmetric_t4_set(self):
         sets = symmetric_t4_sets()
